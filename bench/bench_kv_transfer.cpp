@@ -15,13 +15,28 @@
 // a correctness-of-purpose bug for this subsystem, not a slow day. Catch-up
 // latency, shipped bytes and store size ride along as bench.* counters next
 // to the kv.transfer.* instruments in BENCH_kv_transfer.json.
+//
+//   BM_DigestRound/<keys>
+//
+// The wall-clock cost of one anti-entropy round's digest work over a store
+// of <keys> 64-byte entries: the authority takes its digest and encodes the
+// announce; a serving peer decodes it, takes its own digest and diffs the
+// two. Both digests come from the sums the store maintains per mutation, so
+// the round costs O(buckets) whatever the store size. The same round built
+// on compute_digest (a walk of every entry, O(store)) is timed alongside as
+// the reference. Per-round nanoseconds land in the bench.digest_round_ns and
+// bench.reference_round_ns histograms (count = rounds timed).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench_report.hpp"
+#include "shard/digest.hpp"
+#include "shard/kv_store.hpp"
+#include "shard/transfer.hpp"
 #include "testkit/kv_cluster.hpp"
 
 namespace {
@@ -173,6 +188,76 @@ void BM_KvCatchUp(benchmark::State& state) {
       shipped / static_cast<double>(rounds) / static_cast<double>(state.range(0));
 }
 
+shard::KvStore preloaded_store(int keys) {
+  shard::KvStore s;
+  for (int i = 0; i < keys; ++i) {
+    s.upsert("key-" + std::to_string(i), std::string(kValueBytes, 'v'));
+  }
+  return s;
+}
+
+/// One anti-entropy round's digest work with `digest` as the digest source;
+/// returns how many buckets the peer would ask to have repaired.
+template <typename DigestFn>
+std::size_t digest_round(const shard::KvStore& authority,
+                         const shard::KvStore& peer, DigestFn digest) {
+  const shard::DigestAnnounceMsg m{ProcessId{1}, 1, digest(authority)};
+  const auto wire = shard::encode_announce(m);
+  const auto got = shard::decode_announce(wire);
+  if (!got.has_value()) return 0;
+  return shard::diff_buckets(digest(peer), got->digest).size();
+}
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
+
+void BM_DigestRound(benchmark::State& state) {
+  constexpr int kReferenceRounds = 16;
+  const int keys = static_cast<int>(state.range(0));
+  const shard::KvStore authority = preloaded_store(keys);
+  shard::KvStore peer = preloaded_store(keys);
+  peer.upsert("key-0", "silently diverged");  // exactly one bucket differs
+
+  auto& reg = evs::bench::ObsReport::instance().run(
+      evs::bench::run_name("BM_DigestRound", {state.range(0)}));
+  auto& kept_ns = reg.histogram("bench.digest_round_ns");
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t diffs = digest_round(authority, peer, shard::digest_of);
+    kept_ns.record(elapsed_ns(t0));
+    benchmark::DoNotOptimize(diffs);
+    if (diffs != 1) {
+      state.SkipWithError("maintained digests missed the diverged bucket");
+      return;
+    }
+  }
+  auto& reference_ns = reg.histogram("bench.reference_round_ns");
+  for (int i = 0; i < kReferenceRounds; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t diffs =
+        digest_round(authority, peer, shard::compute_digest);
+    reference_ns.record(elapsed_ns(t0));
+    if (diffs != 1) {
+      state.SkipWithError("reference digests missed the diverged bucket");
+      return;
+    }
+  }
+  const shard::DigestAnnounceMsg m{ProcessId{1}, 1,
+                                   shard::digest_of(authority)};
+  reg.gauge("bench.keys").set(keys);
+  reg.gauge("bench.announce_bytes")
+      .set(static_cast<std::int64_t>(shard::encode_announce(m).size()));
+  state.counters["round_us"] = static_cast<double>(kept_ns.sum()) / 1e3 /
+                               static_cast<double>(kept_ns.count());
+  state.counters["reference_round_us"] =
+      static_cast<double>(reference_ns.sum()) / 1e3 /
+      static_cast<double>(reference_ns.count());
+}
+
 }  // namespace
 
 BENCHMARK(BM_KvCatchUp)
@@ -180,5 +265,11 @@ BENCHMARK(BM_KvCatchUp)
     ->Arg(512)
     ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_DigestRound)
+    ->Arg(1000)
+    ->Arg(25000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 EVS_BENCH_MAIN("bench_kv_transfer");

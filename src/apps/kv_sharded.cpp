@@ -334,7 +334,6 @@ void KvShardedNode::corrupt_for_test(shard::ShardId shard,
   } else {
     ls->store.erase_key(key);
   }
-  if (ls->engine != nullptr) ls->engine->invalidate_digest();
 }
 
 KvShardedNode::LocalShard* KvShardedNode::find(shard::ShardId shard) {

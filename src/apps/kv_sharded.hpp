@@ -157,8 +157,9 @@ class KvShardedNode {
 
   /// Test support: silently mutate (or, with nullopt, delete) a key in the
   /// local store WITHOUT going through the ring — the injected divergence
-  /// anti-entropy must detect and repair. Keeps the shard's transfer engine
-  /// digest coherent with the corruption. Never call outside tests.
+  /// anti-entropy must detect and repair. It goes through the store's
+  /// reconcile mutators, so the store's maintained digest reflects the
+  /// corruption at once. Never call outside tests.
   void corrupt_for_test(shard::ShardId shard, std::string_view key,
                         std::optional<std::string_view> value);
 

@@ -1,5 +1,7 @@
 #include "shard/digest.hpp"
 
+#include <algorithm>
+
 namespace evs::shard {
 
 namespace wiredet {
@@ -40,25 +42,19 @@ bool get_u64(std::span<const std::uint8_t> b, std::size_t& off,
 
 }  // namespace wiredet
 
-std::uint32_t bucket_of(std::string_view key, std::uint32_t nbuckets) {
-  // FNV-1a over the key alone (entry_hash covers key+value; the bucket must
-  // not move when a value changes).
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::uint32_t>(h % (nbuckets == 0 ? 1 : nbuckets));
+StoreDigest digest_of(const KvStore& store) {
+  const auto sums = store.bucket_sums();
+  return StoreDigest{store.stats().applied, store.fingerprint(),
+                     std::vector<std::uint64_t>(sums.begin(), sums.end())};
 }
 
-StoreDigest compute_digest(const KvStore& store, std::uint32_t nbuckets) {
-  if (nbuckets == 0) nbuckets = 1;
+StoreDigest compute_digest(const KvStore& store) {
   StoreDigest d;
   d.applied = store.stats().applied;
   d.fingerprint = store.fingerprint();
-  d.buckets.assign(nbuckets, 0);
+  d.buckets.assign(kDigestBuckets, 0);
   for (const auto& [k, v] : store.contents()) {
-    d.buckets[bucket_of(k, nbuckets)] += entry_hash(k, v);
+    d.buckets[bucket_of(k)] += entry_hash(k, v);
   }
   return d;
 }
@@ -70,8 +66,8 @@ bool same_content(const StoreDigest& a, const StoreDigest& b) {
 std::vector<std::uint32_t> diff_buckets(const StoreDigest& mine,
                                         const StoreDigest& theirs) {
   std::vector<std::uint32_t> out;
-  if (mine.buckets.size() != theirs.buckets.size()) return out;
-  for (std::uint32_t i = 0; i < mine.buckets.size(); ++i) {
+  const std::size_t n = std::min(mine.buckets.size(), theirs.buckets.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
     if (mine.buckets[i] != theirs.buckets[i]) out.push_back(i);
   }
   return out;
@@ -91,7 +87,7 @@ std::optional<StoreDigest> decode_digest(std::span<const std::uint8_t> b,
   if (!wiredet::get_u64(b, off, d.applied)) return std::nullopt;
   if (!wiredet::get_u64(b, off, d.fingerprint)) return std::nullopt;
   if (!wiredet::get_u32(b, off, n)) return std::nullopt;
-  if (n == 0 || n > kMaxDigestBuckets) return std::nullopt;
+  if (n != kDigestBuckets) return std::nullopt;
   if (b.size() - off < static_cast<std::size_t>(n) * 8) return std::nullopt;
   d.buckets.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -2,8 +2,9 @@
 // "State transfer & anti-entropy").
 //
 // A digest summarizes one replica's shard store as an applied-op progress
-// marker, a whole-store fingerprint, and B per-bucket fingerprints, where a
-// key's bucket is hash(key) % B. Two replicas compare digests to decide
+// marker, a whole-store fingerprint, and kDigestBuckets per-bucket
+// fingerprints, where a key's bucket is bucket_of(key) (both owned by
+// shard/kv_store.hpp). Two replicas compare digests to decide
 // (a) whether they hold byte-identical state (fingerprint equality — the
 // basis for clearing `catching_up` without shipping anything) and
 // (b) which buckets differ (the donor ships only those buckets, so
@@ -11,15 +12,16 @@
 //
 // Bucket fingerprints are order-independent wrapping sums of per-entry
 // hashes, so the same contents always digest identically regardless of
-// mutation history. `applied` is informational only: replicas with
-// different delivery histories can hold equal content at different applied
-// counts, so equality decisions MUST use same_content(), never applied.
+// mutation history — and the store keeps them current on every mutation,
+// so taking a digest costs O(buckets), not O(store). `applied` is
+// informational only: replicas with different delivery histories can hold
+// equal content at different applied counts, so equality decisions MUST
+// use same_content(), never applied.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "shard/kv_store.hpp"
@@ -32,19 +34,20 @@ struct StoreDigest {
   std::vector<std::uint64_t> buckets;  ///< per-bucket content fingerprints
 };
 
-/// The bucket a key belongs to, for `nbuckets` buckets (nbuckets >= 1).
-std::uint32_t bucket_of(std::string_view key, std::uint32_t nbuckets);
+/// The store's current digest, read from its maintained sums. O(buckets).
+StoreDigest digest_of(const KvStore& store);
 
-/// Digest the full store into `nbuckets` buckets. O(store).
-StoreDigest compute_digest(const KvStore& store, std::uint32_t nbuckets);
+/// The same digest with its buckets recomputed from scratch by walking every
+/// entry. O(store); the reference the maintained sums are tested against.
+StoreDigest compute_digest(const KvStore& store);
 
 /// Content equality: fingerprints and bucket vectors equal. Ignores
 /// `applied` (see the header comment for why).
 bool same_content(const StoreDigest& a, const StoreDigest& b);
 
 /// Buckets whose fingerprints differ between `mine` and `theirs` — the set
-/// a donor must ship. Empty when bucket counts mismatch (incomparable:
-/// differently-configured peers must not guess at each other's deltas).
+/// a donor must ship. Both digests have the one kDigestBuckets layout
+/// (decode_digest rejects any other).
 std::vector<std::uint32_t> diff_buckets(const StoreDigest& mine,
                                         const StoreDigest& theirs);
 
@@ -61,14 +64,11 @@ bool get_u64(std::span<const std::uint8_t> b, std::size_t& off,
              std::uint64_t& v);
 }  // namespace wiredet
 
-/// Decode-side cap on the bucket vector (a hostile digest must not make a
-/// replica allocate unboundedly).
-inline constexpr std::uint32_t kMaxDigestBuckets = 1u << 16;
-
 /// Append the digest's wire form: [u64 applied][u64 fp][u32 n][u64 x n].
 void encode_digest(std::vector<std::uint8_t>& out, const StoreDigest& d);
 
-/// Strict bounded decode at `off`; advances `off` on success.
+/// Strict bounded decode at `off`; advances `off` on success. A bucket count
+/// other than kDigestBuckets is malformed input.
 std::optional<StoreDigest> decode_digest(std::span<const std::uint8_t> b,
                                          std::size_t& off);
 

@@ -80,6 +80,10 @@ std::optional<DecodedOp> decode_op(std::span<const std::uint8_t> payload) {
   return DecodedOp{op, key, value};
 }
 
+std::uint32_t bucket_of(std::string_view key) {
+  return static_cast<std::uint32_t>(fnv1a(kFnvOffset, key) % kDigestBuckets);
+}
+
 std::optional<DecodedOp> KvStore::apply(std::span<const std::uint8_t> payload) {
   const auto d = decode_op(payload);
   if (!d.has_value()) {
@@ -87,26 +91,12 @@ std::optional<DecodedOp> KvStore::apply(std::span<const std::uint8_t> payload) {
     return std::nullopt;
   }
   switch (d->op) {
-    case KvOp::Put: {
-      const auto it = map_.find(d->key);
-      if (it != map_.end()) {
-        fp_sum_ -= entry_hash(it->first, it->second);
-        it->second.assign(d->value);
-        fp_sum_ += entry_hash(it->first, it->second);
-      } else {
-        map_.emplace(std::string(d->key), std::string(d->value));
-        fp_sum_ += entry_hash(d->key, d->value);
-      }
+    case KvOp::Put:
+      assign(d->key, d->value);
       break;
-    }
-    case KvOp::Del: {
-      const auto it = map_.find(d->key);
-      if (it != map_.end()) {
-        fp_sum_ -= entry_hash(it->first, it->second);
-        map_.erase(it);
-      }
+    case KvOp::Del:
+      remove(d->key);
       break;
-    }
   }
   ++stats_.applied;
   return d;
@@ -119,39 +109,51 @@ std::optional<std::string> KvStore::get(std::string_view key) const {
 }
 
 std::uint64_t KvStore::fingerprint() const {
+  std::uint64_t sum = 0;  // wrapping sum of entry_hash over every entry
+  for (const std::uint64_t b : bucket_sums_) sum += b;
   // Fold the size in so {} and a hash-collision pair stay distinguishable
   // by cardinality at least.
-  return fnv1a_u64(fnv1a_u64(kFnvOffset, fp_sum_), map_.size());
+  return fnv1a_u64(fnv1a_u64(kFnvOffset, sum), map_.size());
 }
 
 bool KvStore::upsert(std::string_view key, std::string_view value) {
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    if (it->second == value) return false;
-    fp_sum_ -= entry_hash(it->first, it->second);
-    it->second.assign(value);
-    fp_sum_ += entry_hash(it->first, it->second);
-  } else {
-    map_.emplace(std::string(key), std::string(value));
-    fp_sum_ += entry_hash(key, value);
-  }
+  if (!assign(key, value)) return false;
   ++stats_.reconciled;
   return true;
 }
 
 bool KvStore::erase_key(std::string_view key) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  fp_sum_ -= entry_hash(it->first, it->second);
-  map_.erase(it);
+  if (!remove(key)) return false;
   ++stats_.reconciled;
   return true;
 }
 
 void KvStore::clear() {
   map_.clear();
-  fp_sum_ = 0;
+  bucket_sums_.assign(kDigestBuckets, 0);
   stats_ = Stats{};
+}
+
+bool KvStore::assign(std::string_view key, std::string_view value) {
+  const std::uint32_t bucket = bucket_of(key);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    map_.emplace(std::string(key), std::string(value));
+  } else {
+    if (it->second == value) return false;
+    bucket_sums_[bucket] -= entry_hash(it->first, it->second);
+    it->second.assign(value);
+  }
+  bucket_sums_[bucket] += entry_hash(key, value);
+  return true;
+}
+
+bool KvStore::remove(std::string_view key) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  bucket_sums_[bucket_of(key)] -= entry_hash(it->first, it->second);
+  map_.erase(it);
+  return true;
 }
 
 }  // namespace evs::shard

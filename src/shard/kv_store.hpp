@@ -8,12 +8,15 @@
 // ignored rather than applied differently on different replicas.
 //
 // Besides the ordered apply path the store supports the state-transfer /
-// anti-entropy machinery (src/shard/transfer.*): an incrementally
-// maintained whole-store fingerprint (an order-independent sum of per-entry
-// hashes, so it costs O(1) per mutation), and reconcile mutators
-// (upsert/erase) that a transfer engine uses to converge a stale replica
-// onto a donor's state outside the ring order. Reconcile mutations are
-// counted separately from applied ops.
+// anti-entropy machinery (src/shard/transfer.*): it owns the digest's
+// bucket layout and keeps the digest current itself — kDigestBuckets
+// per-bucket fingerprints, each an order-independent sum of per-entry
+// hashes, so every mutator updates them in O(1) and producing a digest
+// (the buckets plus the whole-store fingerprint folded from them) costs
+// O(buckets), never O(store). The
+// reconcile mutators (upsert/erase) let a transfer engine converge a stale
+// replica onto a donor's state outside the ring order; they are counted
+// separately from applied ops.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +57,17 @@ std::optional<DecodedOp> decode_op(std::span<const std::uint8_t> payload);
 /// and of the per-bucket digest fingerprints (src/shard/digest.*).
 std::uint64_t entry_hash(std::string_view key, std::string_view value);
 
+/// The digest's one bucket layout: every replica splits its store into this
+/// many buckets, and a digest with any other count is malformed.
+inline constexpr std::uint32_t kDigestBuckets = 1024;
+
+/// The digest bucket a key belongs to: FNV-1a over the key alone (the
+/// bucket must not move when a value changes) modulo kDigestBuckets.
+std::uint32_t bucket_of(std::string_view key);
+
 /// One shard's key space on one replica. Not thread-safe: the sim harness
-/// is single-threaded and the live harness serializes applies per shard on
-/// the shard transport's loop thread (reads take the harness lock).
+/// is single-threaded, and the live agent (apps::KvShardedNode) makes every
+/// call, applies and reads alike, under its own mutex.
 class KvStore {
  public:
   struct Stats {
@@ -75,9 +86,14 @@ class KvStore {
   const Stats& stats() const { return stats_; }
 
   /// Order-independent 64-bit digest of the full contents (wrapping sum of
-  /// entry_hash over all entries, folded with the size). Maintained
-  /// incrementally; equal stores always produce equal fingerprints.
+  /// entry_hash over all entries, folded with the size). O(buckets), from
+  /// the maintained bucket sums; equal stores always produce equal
+  /// fingerprints.
   std::uint64_t fingerprint() const;
+
+  /// Per-bucket wrapping sums of entry_hash, indexed by bucket_of(key);
+  /// always kDigestBuckets long. Maintained by every mutator in O(1).
+  std::span<const std::uint64_t> bucket_sums() const { return bucket_sums_; }
 
   // --- state-transfer reconcile path (bypasses the ring order) ---
   /// Set `key` to `value` if it differs; true when the store changed.
@@ -91,14 +107,21 @@ class KvStore {
   void clear();
 
   /// The full map (test/bench support: replica comparison; the transfer
-  /// engine's digest and chunk builders iterate it read-only).
+  /// engine's chunk builders iterate it read-only).
   const std::map<std::string, std::string, std::less<>>& contents() const {
     return map_;
   }
 
  private:
+  /// Set `key` to `value`, keeping the sums current; false when unchanged.
+  bool assign(std::string_view key, std::string_view value);
+  /// Remove `key`, keeping the sums current; false when absent.
+  bool remove(std::string_view key);
+
   std::map<std::string, std::string, std::less<>> map_;
-  std::uint64_t fp_sum_{0};  ///< wrapping sum of entry_hash over map_
+  /// Wrapping sum of entry_hash per bucket_of(key), over map_.
+  std::vector<std::uint64_t> bucket_sums_ =
+      std::vector<std::uint64_t>(kDigestBuckets);
   Stats stats_;
 };
 

@@ -134,7 +134,7 @@ std::optional<TransferChunkMsg> decode_chunk(std::span<const std::uint8_t> p) {
   if (!get_u32(body, off, m.count)) return std::nullopt;
   if (!get_u32(body, off, nbuckets)) return std::nullopt;
   if (m.count == 0 || m.index >= m.count) return std::nullopt;
-  if (nbuckets > kMaxDigestBuckets) return std::nullopt;
+  if (nbuckets > kDigestBuckets) return std::nullopt;
   m.buckets.reserve(nbuckets);
   const auto* base = reinterpret_cast<const char*>(body.data());
   for (std::uint32_t i = 0; i < nbuckets; ++i) {
@@ -197,7 +197,7 @@ std::optional<RepairRequestMsg> decode_repair_request(
   if (!get_u64(p, off, m.session)) return std::nullopt;
   if (!get_u64(p, off, m.round)) return std::nullopt;
   if (!get_u32(p, off, n)) return std::nullopt;
-  if (n > kMaxDigestBuckets) return std::nullopt;
+  if (n > kDigestBuckets) return std::nullopt;
   if (p.size() - off != static_cast<std::size_t>(n) * 4) return std::nullopt;
   m.buckets.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) (void)get_u32(p, off, m.buckets[i]);
@@ -226,20 +226,7 @@ TransferMet::TransferMet(obs::MetricsRegistry& r)
 // --- engine ----------------------------------------------------------------
 
 TransferEngine::TransferEngine(ProcessId self, TransferConfig cfg)
-    : self_(self), cfg_(cfg) {
-  if (cfg_.digest_buckets == 0) cfg_.digest_buckets = 1;
-}
-
-const StoreDigest& TransferEngine::my_digest(Ctx ctx) {
-  if (digest_dirty_) {
-    digest_cache_ = compute_digest(ctx.store, cfg_.digest_buckets);
-    digest_dirty_ = false;
-  } else {
-    // applied moves without changing content; keep the marker fresh.
-    digest_cache_.applied = ctx.store.stats().applied;
-  }
-  return digest_cache_;
-}
+    : self_(self), cfg_(cfg) {}
 
 void TransferEngine::note_digest(ProcessId p, const StoreDigest& d,
                                  bool serving) {
@@ -333,7 +320,7 @@ void TransferEngine::start_attempt(Ctx ctx) {
   join_.anchored = false;
   join_.modified.clear();
   join_.stream = Stream{};
-  TransferRequestMsg m{self_, join_.session, my_digest(ctx)};
+  TransferRequestMsg m{self_, join_.session, digest_of(ctx.store)};
   std::vector<std::vector<std::uint8_t>> batch;
   batch.push_back(encode_request(m, TransferOp::TransferRequest));
   auto sent = ctx.node.send_batch(Service::Safe, std::move(batch));
@@ -379,7 +366,7 @@ void TransferEngine::complete_catch_up(Ctx ctx) {
 
 void TransferEngine::rules_check(Ctx ctx) {
   if (!catching_up_ || !in_primary_) return;
-  const StoreDigest& mine = my_digest(ctx);
+  const StoreDigest mine = digest_of(ctx.store);
   // Rule A: a serving peer provably holds exactly my content — nothing to
   // transfer, open the gate.
   for (const auto& [p, peer] : peers_) {
@@ -438,7 +425,7 @@ bool TransferEngine::is_donor(Ctx ctx) const {
 }
 
 void TransferEngine::announce(Ctx ctx) {
-  DigestAnnounceMsg m{self_, ann_round_ + 1, my_digest(ctx)};
+  DigestAnnounceMsg m{self_, ann_round_ + 1, digest_of(ctx.store)};
   std::vector<std::vector<std::uint8_t>> batch;
   batch.push_back(encode_announce(m));
   auto sent = ctx.node.send_batch(Service::Safe, std::move(batch));
@@ -451,18 +438,8 @@ void TransferEngine::announce(Ctx ctx) {
 }
 
 void TransferEngine::respond_to_request(const TransferRequestMsg& m, Ctx ctx) {
-  const StoreDigest& mine = my_digest(ctx);
-  std::vector<std::uint32_t> buckets;
-  if (!same_content(mine, m.digest)) {
-    if (mine.buckets.size() != m.digest.buckets.size()) {
-      // Incomparable digests (misconfigured bucket count): ship everything.
-      buckets.resize(mine.buckets.size());
-      for (std::uint32_t i = 0; i < buckets.size(); ++i) buckets[i] = i;
-    } else {
-      buckets = diff_buckets(mine, m.digest);
-    }
-  }
-  send_chunks(m.sender, m.session, /*repair=*/false, buckets, ctx);
+  send_chunks(m.sender, m.session, /*repair=*/false,
+              diff_buckets(digest_of(ctx.store), m.digest), ctx);
 }
 
 void TransferEngine::send_chunks(ProcessId joiner, std::uint64_t session,
@@ -475,7 +452,7 @@ void TransferEngine::send_chunks(ProcessId joiner, std::uint64_t session,
   for (const std::uint32_t b : buckets) per_bucket[b];
   if (!per_bucket.empty()) {
     for (const auto& [k, v] : ctx.store.contents()) {
-      const auto it = per_bucket.find(bucket_of(k, cfg_.digest_buckets));
+      const auto it = per_bucket.find(bucket_of(k));
       if (it != per_bucket.end()) it->second.push_back(ChunkEntry{k, v});
     }
   }
@@ -556,28 +533,35 @@ void TransferEngine::send_chunks(ProcessId joiner, std::uint64_t session,
   donor_resends_.push_back(std::move(d));
 }
 
-bool TransferEngine::reconcile_bucket(
-    std::uint32_t bucket, const std::vector<ChunkEntry>& entries,
+std::size_t TransferEngine::reconcile_buckets(
+    const std::map<std::uint32_t, std::vector<ChunkEntry>>& buckets,
     const std::set<std::string, std::less<>>& skip, Ctx ctx) {
-  bool changed = false;
+  if (buckets.empty()) return 0;
   std::set<std::string_view> incoming;
-  for (const ChunkEntry& e : entries) incoming.insert(e.key);
-  // Erase local keys of this bucket the donor does not have — except keys
-  // this replica applied since the anchor (both sides hold the post-write
-  // value for those; the donor's snapshot merely predates it).
+  for (const auto& [bucket, entries] : buckets) {
+    for (const ChunkEntry& e : entries) incoming.insert(e.key);
+  }
+  // One store pass finds every local key of these buckets the donor does
+  // not have — except keys this replica applied since the anchor (both
+  // sides hold the post-write value for those; the donor's snapshot merely
+  // predates it).
   std::vector<std::string> extras;
   for (const auto& [k, v] : ctx.store.contents()) {
-    if (bucket_of(k, cfg_.digest_buckets) != bucket) continue;
+    if (buckets.count(bucket_of(k)) == 0) continue;
     if (incoming.count(k) != 0 || skip.count(k) != 0) continue;
     extras.push_back(k);
   }
-  for (const std::string& k : extras) changed |= ctx.store.erase_key(k);
-  for (const ChunkEntry& e : entries) {
-    if (skip.count(e.key) != 0) continue;
-    changed |= ctx.store.upsert(e.key, e.value);
+  std::set<std::uint32_t> changed;
+  for (const std::string& k : extras) {
+    if (ctx.store.erase_key(k)) changed.insert(bucket_of(k));
   }
-  if (changed) digest_dirty_ = true;
-  return changed;
+  for (const auto& [bucket, entries] : buckets) {
+    for (const ChunkEntry& e : entries) {
+      if (skip.count(e.key) != 0) continue;
+      if (ctx.store.upsert(e.key, e.value)) changed.insert(bucket);
+    }
+  }
+  return changed.size();
 }
 
 TransferEngine::ChunkVerdict TransferEngine::accept_chunk(
@@ -596,26 +580,28 @@ TransferEngine::ChunkVerdict TransferEngine::accept_chunk(
     return ChunkVerdict::violation;  // torn stream
   }
   ++s.next_index;
+  // Gather the buckets this chunk completes (a multi-part bucket completes
+  // in the chunk carrying its last part), then reconcile them together.
+  std::map<std::uint32_t, std::vector<ChunkEntry>> complete;
   for (const ChunkBucket& b : m.buckets) {
     if (s.partial_bucket.has_value()) {
       if (b.bucket != *s.partial_bucket) return ChunkVerdict::violation;
       s.partial_entries.insert(s.partial_entries.end(), b.entries.begin(),
                                b.entries.end());
       if (b.complete) {
-        const bool changed =
-            reconcile_bucket(b.bucket, s.partial_entries, skip, ctx);
-        if (count_repairs && changed) ctx.met.antientropy_repairs.inc();
+        complete[b.bucket] = std::move(s.partial_entries);
         s.partial_bucket.reset();
         s.partial_entries.clear();
       }
     } else if (b.complete) {
-      const bool changed = reconcile_bucket(b.bucket, b.entries, skip, ctx);
-      if (count_repairs && changed) ctx.met.antientropy_repairs.inc();
+      complete[b.bucket] = b.entries;
     } else {
       s.partial_bucket = b.bucket;
       s.partial_entries = b.entries;
     }
   }
+  const std::size_t changed = reconcile_buckets(complete, skip, ctx);
+  if (count_repairs && changed > 0) ctx.met.antientropy_repairs.inc(changed);
   if (s.next_index == s.count) {
     if (s.partial_bucket.has_value()) return ChunkVerdict::violation;
     return ChunkVerdict::completed;
@@ -644,10 +630,7 @@ void TransferEngine::handle_announce(const DigestAnnounceMsg& m, Ctx ctx) {
   }
   if (!serving() || cfg_.antientropy_interval_us == 0) return;
   if (repair_.active) return;  // one repair session at a time
-  const StoreDigest& mine = my_digest(ctx);
-  if (same_content(mine, m.digest)) return;
-  if (mine.buckets.size() != m.digest.buckets.size()) return;
-  const auto diffs = diff_buckets(mine, m.digest);
+  const auto diffs = diff_buckets(digest_of(ctx.store), m.digest);
   if (diffs.empty()) return;
   RepairRequestMsg r{self_, m.sender, ++session_counter_, m.round, diffs};
   std::vector<std::vector<std::uint8_t>> batch;
@@ -817,13 +800,12 @@ bool TransferEngine::handle_payload(std::span<const std::uint8_t> payload,
 }
 
 void TransferEngine::on_kv_applied(std::string_view key) {
-  digest_dirty_ = true;
   if (catching_up_ && join_.anchored) join_.modified.insert(std::string(key));
   if (repair_.active && repair_.anchored) {
     repair_.modified.insert(std::string(key));
   }
   if (ann_.awaiting_self) {
-    ann_.modified_buckets.insert(bucket_of(key, cfg_.digest_buckets));
+    ann_.modified_buckets.insert(bucket_of(key));
   }
 }
 
@@ -835,7 +817,7 @@ void TransferEngine::tick(Ctx ctx) {
     }
     if (!join_.attempt_open && ctx.now >= join_.next_attempt_at) {
       if (should_claim(ctx)) {
-        TransferRequestMsg m{self_, ++session_counter_, my_digest(ctx)};
+        TransferRequestMsg m{self_, ++session_counter_, digest_of(ctx.store)};
         std::vector<std::vector<std::uint8_t>> batch;
         batch.push_back(encode_request(m, TransferOp::ServeClaim));
         auto sent = ctx.node.send_batch(Service::Safe, std::move(batch));
@@ -892,8 +874,6 @@ void TransferEngine::reset_for_crash() {
   catching_up_ = false;
   claim_resolved_ = false;
   peers_.clear();
-  digest_dirty_ = true;
-  digest_cache_ = StoreDigest{};
   join_ = Join{};
   donor_resends_.clear();
   ann_ = Announce{};

@@ -151,8 +151,6 @@ bool chunk_crc_ok(std::span<const std::uint8_t> p);
 // --- engine ----------------------------------------------------------------
 
 struct TransferConfig {
-  /// Digest granularity: more buckets = finer deltas, bigger digests.
-  std::uint32_t digest_buckets{1024};
   /// Soft byte ceiling per TransferChunk payload (an oversized single entry
   /// still travels alone; the node's max_payload_bytes is the hard cap).
   std::size_t max_chunk_bytes{24u * 1024};
@@ -226,7 +224,7 @@ class TransferEngine {
   bool handle_payload(std::span<const std::uint8_t> payload, Ctx ctx);
 
   /// A KV op for `key` was applied from the ring's total order. Feeds the
-  /// anchor skip-sets and the digest cache invalidation. O(log n).
+  /// anchor skip-sets and the announce's spurious-bucket window. O(log n).
   void on_kv_applied(std::string_view key);
 
   /// Periodic driver: attempt deadlines, backoff resends, ServeClaim
@@ -241,10 +239,6 @@ class TransferEngine {
   bool in_primary() const { return in_primary_; }
   /// Serving = in primary and caught up: the read gate is open.
   bool serving() const { return in_primary_ && !catching_up_; }
-
-  /// The store was mutated behind the engine's back (test-injected
-  /// corruption): drop the cached digest so the next round recomputes.
-  void invalidate_digest() { digest_dirty_ = true; }
 
  private:
   struct Peer {
@@ -323,6 +317,7 @@ class TransferEngine {
   void handle_repair_request(const RepairRequestMsg& m, Ctx ctx);
   /// Route one chunk into a receive stream (join catch-up and anti-entropy
   /// repair share the machinery; `skip` is the stream's anchored skip-set).
+  /// Every bucket the chunk completes is reconciled in one store pass.
   ChunkVerdict accept_chunk(Stream& s,
                             const std::set<std::string, std::less<>>& skip,
                             const TransferChunkMsg& m, bool count_repairs,
@@ -349,16 +344,14 @@ class TransferEngine {
   void announce(Ctx ctx);
 
   // --- helpers ---
-  const StoreDigest& my_digest(Ctx ctx);
   void note_digest(ProcessId p, const StoreDigest& d, bool serving);
   std::size_t chunk_budget(Ctx ctx) const;
-  /// Reconcile one complete bucket onto the store, skipping `skip` keys
-  /// (applied since the anchor: both sides already hold their post-write
-  /// values). True when the store changed.
-  bool reconcile_bucket(std::uint32_t bucket,
-                        const std::vector<ChunkEntry>& entries,
-                        const std::set<std::string, std::less<>>& skip,
-                        Ctx ctx);
+  /// Reconcile complete buckets onto the store in one pass over it,
+  /// skipping `skip` keys (applied since the anchor: both sides already hold
+  /// their post-write values). Returns how many buckets changed.
+  std::size_t reconcile_buckets(
+      const std::map<std::uint32_t, std::vector<ChunkEntry>>& buckets,
+      const std::set<std::string, std::less<>>& skip, Ctx ctx);
 
   ProcessId self_;
   TransferConfig cfg_;
@@ -372,9 +365,6 @@ class TransferEngine {
   std::uint64_t ann_round_{0};
 
   std::map<ProcessId, Peer> peers_;  ///< beliefs; reset every regular config
-
-  bool digest_dirty_{true};
-  StoreDigest digest_cache_;
 
   Join join_;
   std::vector<DonorResend> donor_resends_;

@@ -30,8 +30,8 @@ TEST(DigestTest, SameContentsDigestEquallyRegardlessOfHistory) {
   // applied counts differ — and same_content must ignore applied.
   KvStore a = store_with({{"alpha", "1"}, {"beta", "2"}});
   KvStore b = store_with({{"beta", "x"}, {"alpha", "1"}, {"beta", "2"}});
-  const StoreDigest da = compute_digest(a, 16);
-  const StoreDigest db = compute_digest(b, 16);
+  const StoreDigest da = compute_digest(a);
+  const StoreDigest db = compute_digest(b);
   EXPECT_TRUE(same_content(da, db));
   EXPECT_NE(da.applied, db.applied);
   EXPECT_EQ(da.fingerprint, a.fingerprint());
@@ -41,35 +41,50 @@ TEST(DigestTest, SameContentsDigestEquallyRegardlessOfHistory) {
 TEST(DigestTest, DiffBucketsFlagsExactlyTheChangedKeysBuckets) {
   KvStore a = store_with({{"k1", "v"}, {"k2", "v"}, {"k3", "v"}});
   KvStore b = store_with({{"k1", "v"}, {"k2", "CHANGED"}, {"k3", "v"}});
-  constexpr std::uint32_t kB = 64;
-  const auto diff = diff_buckets(compute_digest(a, kB), compute_digest(b, kB));
+  const auto diff = diff_buckets(compute_digest(a), compute_digest(b));
   ASSERT_EQ(diff.size(), 1u);
-  EXPECT_EQ(diff[0], bucket_of("k2", kB));
+  EXPECT_EQ(diff[0], bucket_of("k2"));
 
   // A missing key diffs its bucket too.
   KvStore c = store_with({{"k1", "v"}, {"k3", "v"}});
-  const auto gone = diff_buckets(compute_digest(a, kB), compute_digest(c, kB));
+  const auto gone = diff_buckets(compute_digest(a), compute_digest(c));
   ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(gone[0], bucket_of("k2", kB));
+  EXPECT_EQ(gone[0], bucket_of("k2"));
 }
 
-TEST(DigestTest, MismatchedBucketCountsAreIncomparable) {
+TEST(DigestTest, DecodeRejectsForeignBucketLayout) {
+  // There is one bucket layout; a digest claiming any other bucket count is
+  // malformed input, not a peer to compare against.
   KvStore a = store_with({{"k", "v"}});
-  EXPECT_TRUE(diff_buckets(compute_digest(a, 8), compute_digest(a, 16)).empty());
-  EXPECT_FALSE(same_content(compute_digest(a, 8), compute_digest(a, 16)));
+  for (const std::uint32_t n : {0u, 1u, 8u, kDigestBuckets - 1,
+                                kDigestBuckets + 1}) {
+    StoreDigest d = compute_digest(a);
+    d.buckets.resize(n);
+    std::vector<std::uint8_t> buf;
+    encode_digest(buf, d);
+    std::size_t off = 0;
+    EXPECT_FALSE(decode_digest(buf, off).has_value()) << "n=" << n;
+  }
+  std::vector<std::uint8_t> buf;
+  encode_digest(buf, compute_digest(a));
+  std::size_t off = 0;
+  EXPECT_TRUE(decode_digest(buf, off).has_value());
 }
 
 TEST(DigestTest, BucketOfIsValueIndependent) {
   // The bucket must depend on the key alone: a value change may not move
   // the entry to another bucket, or deltas would be undetectable.
-  for (std::uint32_t n : {1u, 7u, 1024u}) {
-    EXPECT_LT(bucket_of("some-key", n), n);
-  }
+  KvStore a = store_with({{"some-key", "v1"}});
+  KvStore b = store_with({{"some-key", "a much longer value"}});
+  const auto diff = diff_buckets(compute_digest(a), compute_digest(b));
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_EQ(diff[0], bucket_of("some-key"));
+  EXPECT_LT(bucket_of("some-key"), kDigestBuckets);
 }
 
 TEST(DigestTest, WireRoundTripAndStrictDecode) {
   KvStore a = store_with({{"k1", "v1"}, {"k2", "v2"}});
-  const StoreDigest d = compute_digest(a, 32);
+  const StoreDigest d = compute_digest(a);
   std::vector<std::uint8_t> buf;
   encode_digest(buf, d);
 
@@ -92,7 +107,7 @@ TEST(DigestTest, WireRoundTripAndStrictDecode) {
 
 TEST(TransferCodecTest, AnnounceAndRequestRoundTrip) {
   KvStore s = store_with({{"a", "1"}});
-  DigestAnnounceMsg ann{ProcessId{3}, 17, compute_digest(s, 8)};
+  DigestAnnounceMsg ann{ProcessId{3}, 17, compute_digest(s)};
   const auto ab = encode_announce(ann);
   ASSERT_FALSE(ab.empty());
   EXPECT_EQ(ab[0], static_cast<std::uint8_t>(TransferOp::DigestAnnounce));
@@ -102,7 +117,7 @@ TEST(TransferCodecTest, AnnounceAndRequestRoundTrip) {
   EXPECT_EQ(a2->round, ann.round);
   EXPECT_TRUE(same_content(a2->digest, ann.digest));
 
-  TransferRequestMsg req{ProcessId{5}, 99, compute_digest(s, 8)};
+  TransferRequestMsg req{ProcessId{5}, 99, compute_digest(s)};
   for (const TransferOp op :
        {TransferOp::TransferRequest, TransferOp::ServeClaim}) {
     const auto rb = encode_request(req, op);

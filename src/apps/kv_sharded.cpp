@@ -53,22 +53,17 @@ void KvShardedNode::attach_shard(shard::ShardId shard, EvsNode& node) {
     ls.engine = std::make_unique<shard::TransferEngine>(self_, transfer_cfg_);
   }
   met_.local_shards.set(static_cast<std::int64_t>(shards_.size()));
-  // Apply the shard's total order into the shard-local store. Regular
-  // traffic arrives through the zero-copy batch callback; transitional and
-  // recovery-time deliveries arrive per message through the scalar
-  // callback — BOTH must feed the store, or every write that lands during
-  // a configuration change silently misses the state machine. The payload
-  // views are only valid for the callback, and KvStore copies what it
-  // keeps, so no pinning is needed.
+  // Apply the shard's total order into the shard-local store. The node's
+  // one delivery slot carries regular, and recovery-time (old regular and
+  // transitional) deliveries alike, so writes that land during a
+  // configuration change reach the state machine too. The payload views are
+  // only valid for the callback, and KvStore copies what it keeps, so no
+  // pinning is needed.
   node.set_on_deliver_batch(
       [this, shard](std::span<const EvsNode::DeliveryView> batch) {
         std::lock_guard<std::mutex> apply_lock(mu_);
         for (const auto& d : batch) apply_locked(shard, d.payload);
       });
-  node.set_on_deliver([this, shard](const EvsNode::Delivery& d) {
-    std::lock_guard<std::mutex> apply_lock(mu_);
-    apply_locked(shard, d.payload);
-  });
   // The transfer engine observes regular configuration installs through the
   // second config slot (the harness keeps the primary slot for its sink).
   node.set_on_config_change_observer([this, shard](const Configuration& cfg) {

@@ -98,8 +98,8 @@ class KvShardedNode {
   KvShardedNode(ProcessId self, const shard::ShardRouter& router,
                 shard::TransferConfig transfer = {});
 
-  /// Wire a locally replicated shard's ring into this agent: delivery
-  /// handlers, the configuration observer feeding the shard's transfer
+  /// Wire a locally replicated shard's ring into this agent: the delivery
+  /// handler, the configuration observer feeding the shard's transfer
   /// engine, and the engine's tick timer. Call once per (agent, shard);
   /// re-attaching after a harness remap is allowed and re-syncs the engine
   /// to the node's current configuration.

@@ -18,7 +18,11 @@
 //   set_on_deliver_batch(...)  — zero-copy batch delivery: a
 //                                std::span<const EvsNode::DeliveryView>
 //                                whose payload spans borrow the arriving
-//                                datagrams for the callback's duration
+//                                datagrams for the callback's duration.
+//                                EvsNode has one delivery slot; its
+//                                set_on_deliver is an owned-copy adapter
+//                                over it, and the latest registration of
+//                                either form receives every delivery
 //   set_on_config_change(...)  — configuration changes (EvsNode)
 //   set_on_view_change(...)    — per-group views (GroupNode), VS views (VsNode)
 // (The old set_*_handler names went through a [[deprecated]] cycle and are
@@ -54,8 +58,8 @@
 //                               (obs/export.hpp, testkit/report.hpp)
 //
 // See README.md for the architecture overview and hot-path tuning knobs
-// (batch_max_frames, batch_max_bytes, batch_flush_us) and DESIGN.md for
-// the paper mapping.
+// (batch_max_frames, batch_max_bytes, max_recv_per_poll) and DESIGN.md
+// for the paper mapping.
 #pragma once
 
 #include "evs/config.hpp"

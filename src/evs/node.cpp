@@ -179,8 +179,6 @@ EvsNode::Met::Met(obs::MetricsRegistry& r)
       send_errors(r.counter("evs.send_errors")),
       backpressure_rejections(r.counter("evs.backpressure_rejections")),
       datagrams_packed(r.counter("net.datagrams_packed")),
-      piggybacked_msgs(r.counter("ordering.piggybacked_msgs")),
-      piggyback_carried(r.counter("ordering.piggyback_carried")),
       storage_fail_stops(r.counter("evs.storage_fail_stops")),
       persist_retries(r.counter("evs.persist_retries")),
       state_fail_stops(r.counter("evs.state_fail_stops")),
@@ -210,8 +208,6 @@ EvsNode::Stats EvsNode::stats() const {
   s.send_errors = met_.send_errors.value();
   s.backpressure_rejections = met_.backpressure_rejections.value();
   s.datagrams_packed = met_.datagrams_packed.value();
-  s.piggybacked_msgs = met_.piggybacked_msgs.value();
-  s.piggyback_carried = met_.piggyback_carried.value();
   s.storage_fail_stops = met_.storage_fail_stops.value();
   s.persist_retries = met_.persist_retries.value();
   s.state_fail_stops = met_.state_fail_stops.value();
@@ -670,35 +666,49 @@ void EvsNode::emit_conf_change(const Configuration& config, Ord ord) {
   if (config_observer_) config_observer_(config);
 }
 
-void EvsNode::deliver_note(const RegularMsgView& m, const Configuration& config,
-                           Ord ord) {
-  met_.delivered.inc();
-  if (config.id.transitional) met_.delivered_transitional.inc();
-  EVS_ASSERT_MSG(last_ord_ < ord, "delivery ord must advance in program order");
-  last_ord_ = ord;
-  if (trace_ != nullptr) {
-    TraceEvent e;
-    e.type = EventType::Deliver;
-    e.process = self_;
-    e.time = net_.scheduler().now();
-    e.msg = m.id;
-    e.service = m.service;
-    e.seq = m.seq;
-    e.config = config.id;
-    e.ord = ord;
-    trace_->record(std::move(e));
+void EvsNode::deliver_batch(const std::vector<RegularMsgView>& msgs,
+                            const Configuration& config) {
+  if (msgs.empty()) return;
+  // Zero-copy fan-out: one callback for the whole batch, each view's
+  // payload still pinned by the datagram, send buffer or backlog entry it
+  // came from.
+  std::vector<DeliveryView> views;
+  views.reserve(msgs.size());
+  for (const RegularMsgView& m : msgs) {
+    const Ord ord = ord_message_delivery(m.ring, m.seq);
+    met_.delivered.inc();
+    if (config.id.transitional) met_.delivered_transitional.inc();
+    EVS_ASSERT_MSG(last_ord_ < ord, "delivery ord must advance in program order");
+    last_ord_ = ord;
+    if (trace_ != nullptr) {
+      TraceEvent e;
+      e.type = EventType::Deliver;
+      e.process = self_;
+      e.time = net_.scheduler().now();
+      e.msg = m.id;
+      e.service = m.service;
+      e.seq = m.seq;
+      e.config = config.id;
+      e.ord = ord;
+      trace_->record(std::move(e));
+    }
+    views.push_back(DeliveryView{m.id, m.service, m.seq, m.payload, &config, ord});
   }
+  if (deliver_handler_) deliver_handler_(std::span<const DeliveryView>(views));
 }
 
-void EvsNode::deliver_one(const RegularMsgView& m, const Configuration& config) {
-  const Ord ord = ord_message_delivery(m.ring, m.seq);
-  deliver_note(m, config, ord);
-  if (deliver_handler_) {
-    deliver_handler_(Delivery{m.id, m.service, m.seq,
-                              std::vector<std::uint8_t>(m.payload.begin(),
-                                                        m.payload.end()),
-                              config, ord});
+void EvsNode::set_on_deliver(DeliverHandler h) {
+  if (!h) {
+    deliver_handler_ = nullptr;
+    return;
   }
+  deliver_handler_ = [h = std::move(h)](std::span<const DeliveryView> batch) {
+    for (const DeliveryView& v : batch) {
+      h(Delivery{v.id, v.service, v.seq,
+                 std::vector<std::uint8_t>(v.payload.begin(), v.payload.end()),
+                 *v.config, v.ord});
+    }
+  };
 }
 
 void EvsNode::install_configuration(RingId new_ring, std::vector<ProcessId> members,
@@ -731,13 +741,19 @@ void EvsNode::install_configuration(RingId new_ring, std::vector<ProcessId> memb
   }
 
   if (had_trans) {
+    const auto backlog_views = [this](const std::vector<SeqNum>& seqs) {
+      std::vector<RegularMsgView> views;
+      views.reserve(seqs.size());
+      for (SeqNum s : seqs) {
+        auto it = old_msgs_.find(s);
+        EVS_ASSERT(it != old_msgs_.end());
+        views.push_back(borrow_view(it->second));
+      }
+      return views;
+    };
     // 6.b: remaining old-ring messages that are deliverable in the *old
     // regular* configuration.
-    for (SeqNum s : plan->regular_seqs) {
-      auto it = old_msgs_.find(s);
-      EVS_ASSERT(it != old_msgs_.end());
-      deliver_one(borrow_view(it->second), reg_config_);
-    }
+    deliver_batch(backlog_views(plan->regular_seqs), reg_config_);
     // 6.c: the transitional configuration change.
     Configuration trans;
     trans.id = ConfigId::trans(old_ring_, new_ring);
@@ -751,11 +767,7 @@ void EvsNode::install_configuration(RingId new_ring, std::vector<ProcessId> memb
     const SeqNum ord_cutoff = std::max(plan->cutoff, old_delivered_upto_);
     emit_conf_change(trans, ord_transitional_conf(old_ring_, ord_cutoff));
     // 6.d: deliveries in the transitional configuration.
-    for (SeqNum s : plan->trans_seqs) {
-      auto it = old_msgs_.find(s);
-      EVS_ASSERT(it != old_msgs_.end());
-      deliver_one(borrow_view(it->second), trans);
-    }
+    deliver_batch(backlog_views(plan->trans_seqs), trans);
     met_.discarded.inc(plan->discarded.size());
   }
 
@@ -1173,15 +1185,14 @@ void EvsNode::unicast_frame(ProcessId to, const std::vector<std::uint8_t>& body)
 
 void EvsNode::on_packet(const Packet& packet) {
   if (state_ == State::Down) return;
-  // A datagram carries one or more frames (frame packing; the token may ride
-  // behind piggybacked data frames). The network is adversarial
+  // A datagram carries one or more frames: a packed run of data frames, or
+  // a single token or control frame. The network is adversarial
   // (src/sim/faults.hpp): frames may arrive truncated, extended or
   // byte-flipped. Reject — never crash on — anything that fails the frame
   // check or strict message validation; a cursor error abandons the rest of
   // the datagram (a garbled length field makes the remainder untrustworthy).
   wire::FrameCursor cursor(packet.payload());
   bool deliver = false;
-  datagram_adoptions_ = 0;
   while (!cursor.done()) {
     if (state_ == State::Down) return;  // a frame can fail-stop the node
     const auto body = cursor.next();
@@ -1206,12 +1217,6 @@ void EvsNode::on_packet(const Packet& packet) {
       continue;
     }
     if (const auto* t = std::get_if<TokenMsg>(&*msg)) {
-      // Data frames packed ahead of a token frame are the sender's piggyback
-      // (broadcasts never share a datagram with the token). Count only the
-      // ones this node actually stored: a piggybacked copy whose broadcast
-      // already arrived is a rejected duplicate, not an adoption.
-      met_.piggybacked_msgs.inc(datagram_adoptions_);
-      datagram_adoptions_ = 0;
       handle_token(*t);
     } else if (const auto* j = std::get_if<JoinMsg>(&*msg)) {
       if (packet.src != self_) handle_join(*j);
@@ -1257,21 +1262,7 @@ void EvsNode::deliver_ready() {
     return;
   }
   met_.deliver_batch_size.record(static_cast<std::int64_t>(ready.size()));
-  if (deliver_batch_handler_) {
-    // Zero-copy fan-out: one callback for the whole batch, each view's
-    // payload still pinned by the datagram (or send buffer) it arrived in.
-    std::vector<DeliveryView> views;
-    views.reserve(ready.size());
-    for (const RegularMsgView& m : ready) {
-      const Ord ord = ord_message_delivery(m.ring, m.seq);
-      deliver_note(m, reg_config_, ord);
-      views.push_back(DeliveryView{m.id, m.service, m.seq, m.payload,
-                                   &reg_config_, ord});
-    }
-    deliver_batch_handler_(std::span<const DeliveryView>(views));
-    return;
-  }
-  for (const RegularMsgView& m : ready) deliver_one(m, reg_config_);
+  deliver_batch(ready, reg_config_);
 }
 
 bool EvsNode::handle_regular(RegularMsgView m) {
@@ -1279,7 +1270,6 @@ bool EvsNode::handle_regular(RegularMsgView m) {
     case State::Operational:
       if (m.ring == core_->ring()) {
         if (core_->on_regular(std::move(m))) {
-          ++datagram_adoptions_;
           return true;  // caller runs one deliver_ready() per datagram
         }
         met_.duplicate_regulars.inc();
@@ -1303,7 +1293,6 @@ bool EvsNode::handle_regular(RegularMsgView m) {
         // rebroadcast volume. (Frozen exchanges keep step 6 deterministic.)
         old_received_.insert(m.seq);
         old_msgs_.emplace(m.seq, m.to_owned());
-        ++datagram_adoptions_;
       } else if (state_ == State::Recovery && m.ring == recovery_->proposed_ring()) {
         new_ring_buffer_.push_back(m.to_owned());  // paper step 2 buffering
       }
@@ -1365,11 +1354,6 @@ void EvsNode::handle_token(const TokenMsg& t) {
       // drained at one token visit costs a handful of datagrams instead of
       // one per message. Frames are self-delimiting; receivers walk a
       // wire::FrameCursor.
-      std::vector<std::vector<std::uint8_t>> bodies;
-      bodies.reserve(result.to_broadcast.size());
-      for (const RegularMsgView& m : result.to_broadcast) {
-        bodies.push_back(encode_msg(m));
-      }
       {
         std::vector<std::uint8_t> dgram;
         int frames = 0;
@@ -1380,7 +1364,8 @@ void EvsNode::handle_token(const TokenMsg& t) {
           dgram = {};
           frames = 0;
         };
-        for (const auto& body : bodies) {
+        for (const RegularMsgView& m : result.to_broadcast) {
+          const std::vector<std::uint8_t> body = encode_msg(m);
           if (frames > 0 &&
               (frames >= opts_.batch_max_frames ||
                dgram.size() + wire::kFrameHeaderBytes + body.size() >
@@ -1393,59 +1378,27 @@ void EvsNode::handle_token(const TokenMsg& t) {
         }
         flush();
       }
-      const ProcessId next = core_->next_in_ring();
-      const std::vector<std::uint8_t> token_body = encode_msg(result.token_out);
+      // The token travels alone: one frame in its own datagram, never packed
+      // with data, so a token retransmit resends just the token and a fault
+      // rule aimed at tokens sees every one of them.
+      std::vector<std::uint8_t> token_frame =
+          wire::seal_frame(encode_msg(result.token_out)).value();
       if (core_->members().size() == 1) {
         // Pace the self-token so an idle singleton does not spin the
         // simulator at network-delay granularity. Loopback is reliable, so
-        // no retransmission guard (and no piggyback) is needed.
-        const std::vector<std::uint8_t> token_frame =
-            wire::seal_frame(token_body).value();
+        // no retransmission guard is needed.
         const std::uint64_t epoch = epoch_;
-        schedule_guarded(opts_.singleton_token_interval_us, [this, epoch, token_frame] {
-          if (epoch != epoch_) return;
-          net_.unicast(self_, self_, token_frame);
-        });
+        schedule_guarded(opts_.singleton_token_interval_us,
+                         [this, epoch, token_frame = std::move(token_frame)] {
+                           if (epoch != epoch_) return;
+                           net_.unicast(self_, self_, token_frame);
+                         });
       } else {
-        // Token piggyback: re-carry the tail of this visit's data frames in
-        // front of the token, in one datagram. The next holder then has the
-        // newest messages in hand when it processes the token — its aru can
-        // cover them this rotation even if the broadcast datagram races the
-        // token or is lost — and a token retransmit re-carries the data.
-        // The frames are duplicates of the broadcast above; the receiver's
-        // duplicate check drops them for the price of a decode. The token
-        // frame rides last and is never broadcast.
-        std::vector<std::uint8_t> token_dgram;
-        std::size_t tail = bodies.size();
-        std::size_t bytes = wire::kFrameHeaderBytes + token_body.size();
-        int count = 0;
-        while (tail > 0 && count < opts_.batch_max_frames - 1) {
-          const std::size_t add =
-              wire::kFrameHeaderBytes + bodies[tail - 1].size();
-          if (bytes + add > opts_.batch_max_bytes) break;
-          bytes += add;
-          --tail;
-          ++count;
-        }
-        for (std::size_t i = tail; i < bodies.size(); ++i) {
-          const Status st = wire::append_frame(token_dgram, bodies[i]);
-          EVS_ASSERT(st.ok());
-          // Sender-side carry count. Whether a carried frame was USEFUL is
-          // the receiver's call: ordering.piggybacked_msgs counts only
-          // frames the next holder adopted ahead of their broadcast copy.
-          met_.piggyback_carried.inc();
-        }
-        {
-          const Status st = wire::append_frame(token_dgram, token_body);
-          EVS_ASSERT(st.ok());
-        }
-        if (count > 0) met_.datagrams_packed.inc();
-        net_.unicast(self_, next, token_dgram);
+        net_.unicast(self_, core_->next_in_ring(), token_frame);
         // Guard the forward against loss/corruption: resend the identical
-        // token (data piggyback included) until a fresh one returns (the
-        // receiver drops duplicates by rotation). Cheaper than the full
-        // token-loss gather.
-        last_token_frame_ = std::move(token_dgram);
+        // token until a fresh one returns (the receiver drops duplicates by
+        // rotation). Cheaper than the full token-loss gather.
+        last_token_frame_ = std::move(token_frame);
         token_retransmits_left_ = opts_.token_retransmit_limit;
         arm_token_retransmit();
       }

@@ -23,6 +23,8 @@
 //                              configuration (regular or transitional) it is
 //                              delivered in
 //   set_on_config_change(h)  - a configuration change message (Section 2)
+// EvsNode also offers set_on_deliver_batch(h), the zero-copy form of the
+// same delivery slot (set_on_deliver is an owned-copy adapter over it).
 //
 // Every observable event is also appended to the TraceLog (if provided) for
 // machine checking against Specifications 1-7, counted in the node's
@@ -201,12 +203,8 @@ class EvsNode final : public Endpoint {
     std::uint64_t token_retransmits{0};    ///< tokens re-sent by the loss guard
     std::uint64_t send_errors{0};          ///< send() calls rejected with a Status
     std::uint64_t backpressure_rejections{0};  ///< sends refused at the queue cap
-    // --- datagram batching (frame packing + token piggyback) ---
+    // --- datagram batching (frame packing) ---
     std::uint64_t datagrams_packed{0};   ///< broadcast datagrams carrying >= 2 frames
-    std::uint64_t piggybacked_msgs{0};   ///< piggybacked frames ADOPTED by this
-                                         ///< receiver ahead of their broadcast copy
-    std::uint64_t piggyback_carried{0};  ///< data frames this sender re-carried
-                                         ///< in front of a forwarded token
     // --- fallible stable storage (see storage/stable_store.hpp) ---
     std::uint64_t storage_fail_stops{0};  ///< persists whose failure stopped the node
     std::uint64_t persist_retries{0};     ///< step-5.c acks aborted by a failed persist
@@ -232,8 +230,10 @@ class EvsNode final : public Endpoint {
 
   using DeliverHandler = std::function<void(const Delivery&)>;
   /// One callback per deliverable batch (a token visit or packed datagram
-  /// typically readies several messages at once). Views are valid only for
-  /// the duration of the call.
+  /// typically readies several messages at once; recovery step 6 delivers
+  /// its 6.b and 6.d runs as one batch each). Every view in a batch carries
+  /// the same configuration. Views are valid only for the duration of the
+  /// call.
   using DeliverBatchHandler = std::function<void(std::span<const DeliveryView>)>;
   using ConfigHandler = std::function<void(const Configuration&)>;
 
@@ -246,25 +246,17 @@ class EvsNode final : public Endpoint {
   EvsNode(const EvsNode&) = delete;
   EvsNode& operator=(const EvsNode&) = delete;
 
-  /// Register the delivery callback (uniform setter name across all node
-  /// layers: EvsNode, GroupNode, FragmentNode, VsNode). The LATEST
-  /// registration owns regular-configuration deliveries: registering a
-  /// per-message handler clears any batch handler, so a layer stacked on
-  /// this node (VsNode, GroupNode, an application agent) that only knows
-  /// the per-message form takes the stream over from a harness-installed
-  /// batch handler instead of being silently starved by it.
-  void set_on_deliver(DeliverHandler h) {
-    deliver_handler_ = std::move(h);
-    deliver_batch_handler_ = nullptr;
-  }
-  /// Register the zero-copy batch delivery callback. When set, it receives
-  /// regular-configuration deliveries instead of the per-message handler
-  /// (recovery-time transitional deliveries still use the per-message
-  /// handler — cold path, owned payloads). Like set_on_deliver, the latest
-  /// registration wins for regular deliveries.
-  void set_on_deliver_batch(DeliverBatchHandler h) {
-    deliver_batch_handler_ = std::move(h);
-  }
+  /// The node has ONE delivery slot, and the latest registration through
+  /// either setter owns it: every delivery — regular, and the recovery-time
+  /// 6.b/6.d deliveries in the old regular and the transitional
+  /// configuration — reaches that one handler exactly once.
+  ///
+  /// Register the zero-copy batch delivery callback.
+  void set_on_deliver_batch(DeliverBatchHandler h) { deliver_handler_ = std::move(h); }
+  /// Register a per-message callback (uniform setter name across all node
+  /// layers: EvsNode, GroupNode, FragmentNode, VsNode). An adapter over the
+  /// batch slot: each view is copied into an owned Delivery.
+  void set_on_deliver(DeliverHandler h);
   /// Register the configuration-change callback.
   void set_on_config_change(ConfigHandler h) { config_handler_ = std::move(h); }
   /// Register a SECOND configuration-change observer, invoked after the
@@ -384,11 +376,11 @@ class EvsNode final : public Endpoint {
 
   // --- operational helpers ---
   void deliver_ready();
-  /// Per-delivery bookkeeping (metrics, ord advance, trace) without the
-  /// application callback — the batch path does this per message, then
-  /// invokes the batch handler once.
-  void deliver_note(const RegularMsgView& m, const Configuration& config, Ord ord);
-  void deliver_one(const RegularMsgView& m, const Configuration& config);
+  /// Deliver `msgs` in order in `config`: per-delivery bookkeeping
+  /// (metrics, ord advance, trace) for each, then one call of the delivery
+  /// handler with the whole batch.
+  void deliver_batch(const std::vector<RegularMsgView>& msgs,
+                     const Configuration& config);
   /// True if traffic tagged with ring seq `seq` from `sender` must predate
   /// our current regular configuration: ring seqs are monotone per process
   /// (persisted across incarnations), so a member of our installed ring can
@@ -503,19 +495,12 @@ class EvsNode final : public Endpoint {
   std::vector<RegularMsg> new_ring_buffer_;       ///< paper step 2 buffering
   std::optional<TokenMsg> buffered_token_;
 
-  // Regular frames newly stored while walking the current datagram's frames.
-  // If a token frame follows in the same datagram, those frames rode the
-  // piggyback (broadcasts never share a datagram with the token) and the
-  // count becomes ordering.piggybacked_msgs; reset at every datagram.
-  std::uint64_t datagram_adoptions_{0};
-
   /// Ord of this incarnation's most recent ord-carrying event; send events
   /// are assigned ord_send_after(last_ord_).
   Ord last_ord_{};
 
   // callbacks
-  DeliverHandler deliver_handler_;
-  DeliverBatchHandler deliver_batch_handler_;
+  DeliverBatchHandler deliver_handler_;  ///< the one delivery slot
   ConfigHandler config_handler_;
   ConfigHandler config_observer_;
   std::function<void()> drain_handler_;
@@ -541,8 +526,6 @@ class EvsNode final : public Endpoint {
     obs::Counter& send_errors;
     obs::Counter& backpressure_rejections;
     obs::Counter& datagrams_packed;   ///< net.datagrams_packed
-    obs::Counter& piggybacked_msgs;   ///< ordering.piggybacked_msgs (receiver adoptions)
-    obs::Counter& piggyback_carried;  ///< ordering.piggyback_carried (sender carries)
     obs::Counter& storage_fail_stops;
     obs::Counter& persist_retries;
     obs::Counter& state_fail_stops;

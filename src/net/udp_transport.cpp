@@ -75,11 +75,6 @@ void UdpTransport::close_fd() {
 }
 
 Status UdpTransport::wire_group_send_options() {
-  if (!options_.multicast_group.empty() && options_.enable_broadcast) {
-    return Status::error(
-        Errc::invalid_argument,
-        "multicast_group and enable_broadcast are mutually exclusive");
-  }
   if (!options_.multicast_group.empty()) {
     const std::uint16_t dst_port =
         options_.multicast_port != 0 ? options_.multicast_port : port_;
@@ -116,21 +111,6 @@ Status UdpTransport::wire_group_send_options() {
     const unsigned char loop = options_.multicast_loop ? 1 : 0;
     ::setsockopt(fd_, IPPROTO_IP, IP_MULTICAST_LOOP, &loop, sizeof(loop));
     group_dst_ = *group;
-  } else if (options_.enable_broadcast) {
-    const int on = 1;
-    if (::setsockopt(fd_, SOL_SOCKET, SO_BROADCAST, &on, sizeof(on)) != 0) {
-      return Status::error(Errc::transport_io,
-                           std::string("SO_BROADCAST: ") + strerror(errno));
-    }
-    const std::uint16_t dst_port =
-        options_.multicast_port != 0 ? options_.multicast_port : port_;
-    auto bcast = parse_addr(options_.broadcast_addr, dst_port);
-    if (!bcast.has_value()) {
-      return Status::error(Errc::invalid_argument,
-                           "broadcast_addr is not an IPv4 address: " +
-                               options_.broadcast_addr);
-    }
-    group_dst_ = *bcast;
   }
   return Status::ok_status();
 }
@@ -293,22 +273,12 @@ void UdpTransport::send_datagram(const sockaddr_in& to,
     stats_.send_errors.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (out_batch_.empty()) {
-    out_batch_deadline_us_ = wall_now_us() + options_.batch_flush_us;
-  }
   out_batch_.push_back(PendingDatagram{to, std::move(payload)});
-  if (out_batch_.size() >= static_cast<std::size_t>(kMmsgBatch)) {
-    flush_out_batch(/*force=*/true);
-  }
+  if (out_batch_.size() >= static_cast<std::size_t>(kMmsgBatch)) flush_out_batch();
 }
 
-void UdpTransport::flush_out_batch(bool force) {
+void UdpTransport::flush_out_batch() {
   if (out_batch_.empty()) return;
-  if (!force && options_.batch_flush_us > 0 &&
-      out_batch_.size() < static_cast<std::size_t>(kMmsgBatch) &&
-      wall_now_us() < out_batch_deadline_us_) {
-    return;  // let the batch coalesce a little longer
-  }
   // Preserve per-socket send ordering: while anything is parked, everything
   // queues behind it until the backlog flushes (flush_backlog runs first in
   // every loop iteration).
@@ -545,7 +515,7 @@ int UdpTransport::service() {
   drain_posted();
   advance_clock();
   flush_backlog();
-  flush_out_batch(/*force=*/false);
+  flush_out_batch();
   const std::uint64_t before =
       stats_.datagrams_received.load(std::memory_order_relaxed);
   // The budget is the fairness contract: a flooded socket hands control back
@@ -555,7 +525,7 @@ int UdpTransport::service() {
   drain_socket(options_.max_recv_per_poll);
   // Sends generated while dispatching received datagrams (token fan-out)
   // flush as one sendmmsg batch — this is where the syscall batching pays.
-  flush_out_batch(/*force=*/false);
+  flush_out_batch();
   advance_clock();
   return static_cast<int>(
       stats_.datagrams_received.load(std::memory_order_relaxed) - before);
@@ -564,13 +534,9 @@ int UdpTransport::service() {
 std::optional<SimTime> UdpTransport::next_deadline_us() {
   std::optional<SimTime> deadline;
   if (auto next = scheduler_.next_time(); next.has_value()) deadline = *next;
-  if (!backlog_.empty()) deadline = 0;  // flush wants another pass now
-  if (!out_batch_.empty()) {
-    // A coalescing batch bounds the wait by its flush deadline.
-    if (!deadline.has_value() || out_batch_deadline_us_ < *deadline) {
-      deadline = out_batch_deadline_us_;
-    }
-  }
+  // Sends queued by the pass's trailing timers, or parked behind a backlog,
+  // want another pass now.
+  if (!backlog_.empty() || !out_batch_.empty()) deadline = 0;
   return deadline;
 }
 
@@ -578,9 +544,8 @@ int UdpTransport::poll_once(SimTime max_wait_us) {
   EVS_ASSERT_MSG(is_open(), "poll_once on a transport that is not open");
   int dispatched = service();
 
-  // Bound the wait by the next protocol timer so wall-clock timers fire
-  // with ~1ms resolution (poll granularity), far inside every protocol
-  // timeout.
+  // Bound the wait by the next protocol timer so wall-clock timers fire on
+  // time.
   SimTime wait_us = max_wait_us;
   if (auto deadline = next_deadline_us(); deadline.has_value()) {
     const SimTime now = wall_now_us();
@@ -596,12 +561,10 @@ int UdpTransport::poll_once(SimTime max_wait_us) {
   fds[1].events = POLLIN;
   fds[1].revents = 0;
 
-  // ppoll, not poll: a millisecond timeout cannot express a sub-millisecond
-  // coalescing window. Rounding a 200us batch_flush_us deadline up to 1ms
-  // made every quiet-loop batch outlive its deadline several times over
-  // (nothing else wakes the loop when there is no inbound traffic), so the
-  // flush-latency contract of Options::batch_flush_us was unmet exactly in
-  // the no-load case it exists for.
+  // ppoll, not poll: protocol timers are scheduled in microseconds, and a
+  // millisecond timeout would round every sub-millisecond wait up to 1ms —
+  // on a quiet loop nothing else wakes it, so each such timer would fire
+  // late by up to a millisecond.
   const SimTime capped_us = std::min<SimTime>(wait_us, 1'000'000);
   timespec ts;
   ts.tv_sec = static_cast<time_t>(capped_us / 1'000'000);
@@ -624,9 +587,9 @@ void UdpTransport::run() {
 void UdpTransport::finish() {
   // Close the posting door; run what was already accepted so a stop posted
   // together with work does not strand it. Idempotent — the TaskInbox close
-  // is, and a forced flush of an empty batch is a no-op.
+  // is, and a flush of an empty batch is a no-op.
   inbox_.close([](net::TaskInbox::Task&& fn) { fn(); });
-  flush_out_batch(/*force=*/true);
+  flush_out_batch();
 }
 
 void UdpTransport::stop() {

@@ -15,17 +15,18 @@
 //     loopback self-delivery the protocol expects from broadcast hardware
 //     arrives through the same socket as everything else, so it is subject
 //     to the same loss and queueing. Options can instead wire a real
-//     multicast group (IP_ADD_MEMBERSHIP + IP_MULTICAST_{IF,TTL,LOOP}) or a
-//     broadcast address (SO_BROADCAST): then a broadcast is ONE datagram to
-//     the group, and self-delivery comes from the kernel's multicast loop.
-//   * Batched, non-blocking syscalls. Outbound datagrams coalesce into a
-//     sendmmsg() batch (flushed every loop iteration, or held up to
-//     Options::batch_flush_us); the receive path drains the socket with
-//     recvmmsg() into per-datagram arena buffers (net/arena.hpp) that the
-//     zero-copy decode path pins. EAGAIN/EWOULDBLOCK parks datagrams in a
-//     bounded backlog flushed on POLLOUT; when the backlog is full the
-//     datagram is dropped and counted (net.dropped_backpressure) — exactly
-//     the loss the retransmission and recovery machinery already absorbs.
+//     multicast group (IP_ADD_MEMBERSHIP + IP_MULTICAST_{IF,TTL,LOOP}):
+//     then a broadcast is ONE datagram to the group, and self-delivery
+//     comes from the kernel's multicast loop.
+//   * Batched, non-blocking syscalls. The datagrams one service pass
+//     produces (a token visit's fan-out) leave in one sendmmsg() batch at
+//     the end of the pass, never held back; the receive path drains the
+//     socket with recvmmsg() into per-datagram arena buffers
+//     (net/arena.hpp) that the zero-copy decode path pins.
+//     EAGAIN/EWOULDBLOCK parks datagrams in a bounded backlog flushed on
+//     POLLOUT; when the backlog is full the datagram is dropped and counted
+//     (net.dropped_backpressure) — exactly the loss the retransmission and
+//     recovery machinery already absorbs.
 //     `backpressured()` exposes the saturated state so harnesses can
 //     surface it through the Errc::backpressure path.
 //   * Clock mapping. The transport owns a Scheduler whose virtual time is
@@ -108,13 +109,6 @@ class UdpTransport final : public Transport {
     /// delivery consumes at most this many dispatches before every other
     /// node on the worker gets its timers advanced again.
     int max_recv_per_poll{64};
-    /// Send coalescing window: outbound datagrams queue for up to this many
-    /// microseconds (or until a sendmmsg batch fills) before the syscall
-    /// fires. 0 = flush every service pass — batching then comes only from
-    /// sends generated within one pass (a token visit's fan-out), which
-    /// keeps latency untouched. Raise it to trade latency for fewer
-    /// syscalls under sparse load.
-    std::uint32_t batch_flush_us{0};
     /// SO_RCVBUF / SO_SNDBUF request, 0 = leave the kernel default. Tests
     /// shrink these to force EAGAIN backpressure deterministically.
     int so_rcvbuf{0};
@@ -126,7 +120,7 @@ class UdpTransport final : public Transport {
     /// processes, and per-open epochs would skew them by the start stagger.
     std::int64_t epoch_ns{0};
 
-    // --- group-send wiring (real multicast / broadcast sockets) ---
+    // --- group-send wiring (real multicast sockets) ---
     /// When non-empty (e.g. "239.255.42.1"): open() joins the group on
     /// `multicast_if`, wires IP_MULTICAST_{IF,TTL,LOOP}, and broadcast()
     /// sends ONE datagram to group:multicast_port instead of fanning out
@@ -143,11 +137,6 @@ class UdpTransport final : public Transport {
     std::string multicast_if{"127.0.0.1"};
     int multicast_ttl{1};
     bool multicast_loop{true};
-    /// SO_BROADCAST wiring: when true, broadcast() sends one datagram to
-    /// broadcast_addr:multicast_port (same port rule as multicast). For
-    /// subnet-broadcast LANs; mutually exclusive with multicast_group.
-    bool enable_broadcast{false};
-    std::string broadcast_addr{"255.255.255.255"};
   };
 
   struct Stats {
@@ -217,7 +206,7 @@ class UdpTransport final : public Transport {
 
   // --- event loop (self-driven mode) ---
   /// One iteration: service the transport, park in ppoll for at most
-  /// `max_wait_us` (clamped to the next timer / batch deadline), service
+  /// `max_wait_us` (clamped to the next timer deadline), service
   /// again. Returns the number of datagrams dispatched.
   int poll_once(SimTime max_wait_us);
 
@@ -232,9 +221,9 @@ class UdpTransport final : public Transport {
   int fd() const { return fd_; }
   bool wants_pollout() const { return !backlog_.empty(); }
   /// Absolute time (in this transport's wall_now_us() base) by which the
-  /// driver must service this transport again: the earliest of the next
-  /// scheduler timer, the coalescing-batch flush deadline, and "now" while
-  /// a backlog waits for POLLOUT. nullopt = nothing time-bounded pending.
+  /// driver must service this transport again: the next scheduler timer,
+  /// or "now" while queued sends wait for a flush (or a backlog for
+  /// POLLOUT). nullopt = nothing time-bounded pending.
   std::optional<SimTime> next_deadline_us();
   /// Non-blocking work pass: posted closures, clock advance + due timers,
   /// backlog flush, bounded socket drain (Options::max_recv_per_poll),
@@ -303,10 +292,8 @@ class UdpTransport final : public Transport {
   /// Queue one datagram for the next sendmmsg flush. EAGAIN at flush time
   /// parks it in backlog_.
   void send_datagram(const sockaddr_in& to, net::DatagramRef payload);
-  /// sendmmsg() the out-batch. When `force` is false and batch_flush_us is
-  /// set, a batch younger than the window (and below the syscall batch
-  /// size) is left to coalesce.
-  void flush_out_batch(bool force);
+  /// sendmmsg() the out-batch.
+  void flush_out_batch();
   void park_or_drop(PendingDatagram d);
   void drain_socket(int budget);
   void advance_clock();
@@ -330,12 +317,11 @@ class UdpTransport final : public Transport {
   std::unordered_set<ProcessId> blocked_;
   std::unordered_set<std::uint64_t> blocked_addrs_;
   std::unordered_map<ProcessId, Endpoint*> endpoints_;
-  /// Group-send destination when multicast/broadcast mode is wired.
+  /// Group-send destination when multicast mode is wired.
   std::optional<sockaddr_in> group_dst_;
 
   std::deque<PendingDatagram> backlog_;   ///< parked on EAGAIN, FIFO
-  std::vector<PendingDatagram> out_batch_;  ///< coalescing for sendmmsg
-  SimTime out_batch_deadline_us_{0};        ///< flush-by time (batch_flush_us)
+  std::vector<PendingDatagram> out_batch_;  ///< this pass's sends, for sendmmsg
   std::atomic<bool> backpressured_{false};
   std::atomic<bool> stop_{false};
 

@@ -90,17 +90,15 @@ Status check_memory_metrics(const JsonValue& metrics, const std::string& where) 
   return Status::ok_status();
 }
 
-/// The datagram-batching surface: EvsNode pre-creates the packing and
-/// piggyback counters plus the delivery-batch-size histogram, so any
-/// EVS-driven metrics set missing them means the zero-copy hot path lost
-/// its instrumentation — fail validation (this is what keeps
-/// BENCH_udp_live.json honest about batching actually engaging).
+/// The datagram-batching surface: EvsNode pre-creates the packing counter
+/// and the delivery-batch-size histogram, so any EVS-driven metrics set
+/// missing them means the zero-copy hot path lost its instrumentation —
+/// fail validation (this is what keeps BENCH_udp_live.json honest about
+/// batching actually engaging).
 Status check_batching_metrics(const JsonValue& metrics, const std::string& where) {
   const JsonValue* counters = metrics.find("counters");
-  for (const char* c : {"net.datagrams_packed", "ordering.piggybacked_msgs"}) {
-    if (counters == nullptr || counters->find(c) == nullptr) {
-      return shape_error(where, std::string("missing batching counter '") + c + "'");
-    }
+  if (counters == nullptr || counters->find("net.datagrams_packed") == nullptr) {
+    return shape_error(where, "missing batching counter 'net.datagrams_packed'");
   }
   const JsonValue* hists = metrics.find("histograms");
   if (hists == nullptr || hists->find("evs.deliver_batch_size") == nullptr) {

@@ -23,28 +23,6 @@ bool payload_is_token(const std::vector<std::uint8_t>& payload) {
   return payload[kHeader] == kTokenType;
 }
 
-/// True if ANY frame in the (possibly multi-frame) datagram is a token.
-/// A piggyback datagram packs data frames in front of the token frame, so
-/// its leading frame is Regular and payload_is_token reports false; walking
-/// the frame chain catches it. A garbled length field ends the walk — the
-/// remainder is untrustworthy, same policy as the receiver's FrameCursor.
-bool payload_has_token(const std::vector<std::uint8_t>& payload) {
-  constexpr std::size_t kHeader = 8;
-  constexpr std::uint8_t kTokenType = 2;
-  std::size_t off = 0;
-  while (payload.size() > off && payload.size() - off >= kHeader + 1) {
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(payload[off]) |
-        (static_cast<std::uint32_t>(payload[off + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[off + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[off + 3]) << 24);
-    if (length == 0 || length > payload.size() - off - kHeader) return false;
-    if (payload[off + kHeader] == kTokenType) return true;
-    off += kHeader + length;
-  }
-  return false;
-}
-
 /// Local CRC-32 (poly 0xEDB88320), bit-identical to wire::crc32 — this
 /// file sits below the wire codec in the layering and cannot include it,
 /// but re-sealing a frame requires producing the exact checksum the
@@ -71,9 +49,9 @@ std::uint32_t crc32_local(const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 bool FaultRule::matches(ProcessId from, ProcessId to, SimTime now,
-                        bool is_token, bool has_token) const {
+                        bool is_token) const {
   if (tokens_only && !is_token) return false;
-  if (data_only && (is_token || has_token)) return false;
+  if (data_only && is_token) return false;
   if (src.has_value() && *src != from) return false;
   if (dst.has_value() && *dst != to) return false;
   return now >= from_us && now < until_us;
@@ -121,28 +99,6 @@ FaultPlan FaultPlan::token_loss(double p, SimTime from_us, SimTime until_us) {
   return FaultPlan{}.add(rule);
 }
 
-FaultPlan FaultPlan::data_cut(ProcessId src, ProcessId dst, SimTime from_us,
-                              SimTime until_us) {
-  FaultRule rule;
-  rule.data_only = true;
-  rule.src = src;
-  rule.dst = dst;
-  rule.from_us = from_us;
-  rule.until_us = until_us;
-  rule.drop = 1.0;
-  return FaultPlan{}.add(rule);
-}
-
-FaultPlan FaultPlan::sealed_corruption(double p, SimTime from_us,
-                                       SimTime until_us) {
-  FaultRule rule;
-  rule.data_only = true;
-  rule.from_us = from_us;
-  rule.until_us = until_us;
-  rule.corrupt_sealed = p;
-  return FaultPlan{}.add(rule);
-}
-
 void FaultInjector::note(SimTime time, const char* kind, ProcessId src,
                          ProcessId dst) {
   if (log_.size() >= kLogCapacity) log_.pop_front();
@@ -153,10 +109,9 @@ FaultInjector::Action FaultInjector::apply(ProcessId from, ProcessId to, SimTime
                                            std::vector<std::uint8_t>& payload) {
   ++stats_.packets_considered;
   const bool is_token = payload_is_token(payload);
-  const bool has_token = is_token || payload_has_token(payload);
   Action action;
   for (const FaultRule& rule : plan_.rules()) {
-    if (!rule.matches(from, to, now, is_token, has_token)) continue;
+    if (!rule.matches(from, to, now, is_token)) continue;
     if (rule.drop > 0 && rng_.chance(rule.drop)) {
       action.drop = true;
       ++stats_.dropped;

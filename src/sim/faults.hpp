@@ -39,10 +39,10 @@ struct FaultRule {
   SimTime from_us{0};            ///< active window [from_us, until_us)
   SimTime until_us{~0ull};
   bool tokens_only{false};  ///< apply only to ordering-token packets
-  /// Apply only to packets carrying NO token frame: cuts data broadcasts
-  /// while sparing token forwards — including piggyback datagrams, where
-  /// data frames ride in front of the token frame. The selector that lets a
-  /// test prove delivery survives on the piggyback path alone.
+  /// Apply only to packets that are NOT a token: data broadcasts (and the
+  /// other control traffic) while token forwards pass. A token always
+  /// travels alone in its datagram, so the two selectors partition the
+  /// traffic.
   bool data_only{false};
 
   double duplicate{0};     ///< P(extra copies of the packet are delivered)
@@ -65,11 +65,8 @@ struct FaultRule {
   SimTime spike_us{10'000};
   double drop{0};          ///< P(packet silently vanishes); 1.0 = link cut
 
-  /// is_token: the datagram's leading frame is an ordering token (a pure
-  /// token forward). has_token: any frame is a token — also true for
-  /// piggyback datagrams, whose data frames precede the token frame.
-  bool matches(ProcessId from, ProcessId to, SimTime now, bool is_token,
-               bool has_token = false) const;
+  /// is_token: the datagram is an ordering-token forward.
+  bool matches(ProcessId from, ProcessId to, SimTime now, bool is_token) const;
 };
 
 /// One stable-storage fault rule: the disk analogue of FaultRule. Applies
@@ -122,18 +119,6 @@ class FaultPlan {
   /// Drop every ordering token with probability p over [from_us, until_us).
   static FaultPlan token_loss(double p, SimTime from_us = 0,
                               SimTime until_us = ~0ull);
-
-  /// One-directional cut of src->dst DATA datagrams only: token forwards —
-  /// including piggyback datagrams — still pass. Delivery to dst then
-  /// depends entirely on the token piggyback / retransmission paths.
-  static FaultPlan data_cut(ProcessId src, ProcessId dst, SimTime from_us = 0,
-                            SimTime until_us = ~0ull);
-
-  /// Re-sealed payload-tail corruption on every DATA datagram at rate p
-  /// over [from_us, until_us): the frame CRC is recomputed after the flip,
-  /// so only application-level integrity checks can reject the bytes.
-  static FaultPlan sealed_corruption(double p, SimTime from_us = 0,
-                                     SimTime until_us = ~0ull);
 
   bool empty() const { return rules_.empty() && storage_rules_.empty(); }
   const std::vector<FaultRule>& rules() const { return rules_; }

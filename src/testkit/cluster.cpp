@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -83,21 +82,11 @@ StableStore& Cluster::store(ProcessId p) {
 
 void Cluster::wire(Proc& proc) {
   Sink* sink = &proc.sink;
-  // Transitional (recovery-time) deliveries arrive per message; regular ones
-  // arrive through the zero-copy batch callback, which takes precedence for
-  // that path. Materializing owned Delivery records here keeps the tests'
-  // value-semantics assertions while every sim run exercises the hot path.
+  // Owned Delivery records keep the tests' value-semantics assertions; the
+  // adapter sits on the node's one zero-copy batch slot, so every sim run
+  // still exercises the hot path.
   proc.node->set_on_deliver(
       [sink](const EvsNode::Delivery& d) { sink->deliveries.push_back(d); });
-  proc.node->set_on_deliver_batch(
-      [sink](std::span<const EvsNode::DeliveryView> batch) {
-        for (const EvsNode::DeliveryView& v : batch) {
-          sink->deliveries.push_back(EvsNode::Delivery{
-              v.id, v.service, v.seq,
-              std::vector<std::uint8_t>(v.payload.begin(), v.payload.end()),
-              *v.config, v.ord});
-        }
-      });
   proc.node->set_on_config_change(
       [sink](const Configuration& c) { sink->configs.push_back(c); });
   proc.node->set_span_sink(spans_.get());

@@ -12,9 +12,9 @@
 // token. A membership change re-derives every replica group from the
 // surviving members (remap()).
 //
-// Note: attaching a shard overrides that node's batch delivery handler, so
-// the underlying Cluster::Sink stops recording regular deliveries for
-// replica nodes. Spec checking (check_report) reads the TraceLog and is
+// Note: attaching a shard takes over that node's one delivery slot, so
+// the underlying Cluster::Sink stops recording deliveries for replica
+// nodes. Spec checking (check_report) reads the TraceLog and is
 // unaffected; assert on KvStore contents / agent stats instead of sinks.
 #pragma once
 

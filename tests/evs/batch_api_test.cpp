@@ -4,13 +4,16 @@
 // send_batch is all-or-nothing: one oversized payload or a batch that does
 // not fit under max_pending_sends rejects the whole call with nothing
 // queued, so a producer never has to unpick a half-accepted burst. The
-// delivery batch callback receives every regular-configuration message a
-// deliver pass readied, with payload spans valid for the callback only, and
-// takes precedence over the per-message handler for that path.
+// delivery batch callback receives every message a deliver pass readied,
+// with payload spans valid for the callback only. A node has one delivery
+// slot: the latest registration, batch or per-message, receives every
+// delivery — including recovery-time transitional ones — exactly once.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "testkit/cluster.hpp"
 
@@ -163,15 +166,94 @@ TEST(DeliverBatchTest, BatchHandlerSeesGroupedViewsAndSuppressesPerMessage) {
     EXPECT_EQ(payloads[i], std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(i)));
   }
 
-  // The batching counters moved: the sender packed multi-frame datagrams
-  // and re-carried tail frames on the token. (piggybacked_msgs is the
-  // RECEIVER-side adoption count and stays zero when every broadcast wins
-  // the race with the token; piggyback_carried is the sender-side carry.)
+  // The batching counters moved: the sender packed multi-frame datagrams.
   const auto stats = cluster.node(0u).stats();
   EXPECT_GT(stats.datagrams_packed, 0u);
-  EXPECT_GT(stats.piggyback_carried, 0u);
   EXPECT_GT(cluster.node(2u).metrics().histogram("evs.deliver_batch_size").count(), 0u);
   EXPECT_EQ(cluster.check_report(), "");
+}
+
+/// Which setter runs last on the observed node.
+enum class LastSetter { Batch, PerMessage };
+
+struct SlotRun {
+  /// (message, configuration) pairs the node delivered after registration,
+  /// per the trace, each with its multiplicity.
+  std::map<std::pair<MsgId, ConfigId>, int> traced;
+  std::map<std::pair<MsgId, ConfigId>, int> batch_seen;
+  std::map<std::pair<MsgId, ConfigId>, int> per_message_seen;
+  int transitional_traced{0};
+};
+
+/// Node 1 of a 3-node ring registers both delivery forms in the given
+/// order; safe bursts are in flight when {0} is cut off, so the {1, 2}
+/// side delivers part of the backlog in the transitional configuration.
+SlotRun run_slot_scenario(LastSetter last, SimTime cut_after_us) {
+  Cluster cluster;
+  SlotRun run;
+  if (!cluster.await_stable()) return run;
+  EvsNode& node = cluster.node(1u);
+  const auto batch = [&](std::span<const EvsNode::DeliveryView> views) {
+    for (const auto& v : views) ++run.batch_seen[{v.id, v.config->id}];
+  };
+  const auto per_message = [&](const EvsNode::Delivery& d) {
+    ++run.per_message_seen[{d.id, d.config.id}];
+  };
+  if (last == LastSetter::Batch) {
+    node.set_on_deliver(per_message);
+    node.set_on_deliver_batch(batch);
+  } else {
+    node.set_on_deliver_batch(batch);
+    node.set_on_deliver(per_message);
+  }
+  const std::size_t trace_from = cluster.trace().size();
+  for (std::size_t p = 0; p < cluster.size(); ++p) {
+    if (!cluster.node(p).send_batch(Service::Safe, payloads_of(8, 16)).ok()) return run;
+  }
+  cluster.run_for(cut_after_us);
+  cluster.partition({{0}, {1, 2}});
+  if (!cluster.await_quiesce()) return run;
+  const auto& events = cluster.trace().events();
+  for (std::size_t i = trace_from; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.type != EventType::Deliver || e.process != node.id()) continue;
+    ++run.traced[{e.msg, e.config}];
+    if (e.config.transitional) ++run.transitional_traced;
+  }
+  EXPECT_EQ(cluster.check_report(), "");
+  return run;
+}
+
+void expect_last_setter_owns_stream(LastSetter last) {
+  // The sim is deterministic: find a cut that lands while safe messages
+  // are still short of their horizon.
+  SlotRun run;
+  for (SimTime cut : {300, 500, 700, 900, 1'200, 1'600, 2'000}) {
+    run = run_slot_scenario(last, cut);
+    if (run.transitional_traced > 0) break;
+  }
+  ASSERT_GT(run.transitional_traced, 0) << "no cut produced transitional deliveries";
+  const auto& owner = last == LastSetter::Batch ? run.batch_seen : run.per_message_seen;
+  const auto& other = last == LastSetter::Batch ? run.per_message_seen : run.batch_seen;
+  // Every delivery, in its own configuration, exactly once: the traced
+  // multiset holds each (message, configuration) pair once, and the owner
+  // saw exactly that multiset.
+  EXPECT_EQ(owner, run.traced);
+  int transitional_seen = 0;
+  for (const auto& [key, count] : owner) {
+    EXPECT_EQ(count, 1);
+    if (key.second.transitional) transitional_seen += count;
+  }
+  EXPECT_EQ(transitional_seen, run.transitional_traced);
+  EXPECT_TRUE(other.empty()) << "the earlier registration must be replaced";
+}
+
+TEST(DeliverSlotTest, BatchRegisteredLastReceivesTransitionalDeliveriesOnce) {
+  expect_last_setter_owns_stream(LastSetter::Batch);
+}
+
+TEST(DeliverSlotTest, PerMessageRegisteredLastReceivesTransitionalDeliveriesOnce) {
+  expect_last_setter_owns_stream(LastSetter::PerMessage);
 }
 
 }  // namespace

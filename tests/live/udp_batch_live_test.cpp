@@ -1,6 +1,6 @@
 // Live datagram-batching tests (`ctest -L live-batch`): the zero-copy batch
-// hot path — send_batch admission, frame packing, token piggyback, and
-// sendmmsg/recvmmsg syscall batching — over real loopback UDP sockets.
+// hot path — send_batch admission, frame packing, and sendmmsg/recvmmsg
+// syscall batching — over real loopback UDP sockets.
 //
 // Like every live test these are wall-clock and non-deterministic, so the
 // assertions are convergence properties plus the full specification check
@@ -55,26 +55,20 @@ TEST(UdpBatchLiveTest, SendBatchDeliversEverywhereOverRealSockets) {
     }
   }
   // The bursts actually took the packed path: multi-frame broadcast
-  // datagrams and data frames re-carried with the token. (The sender-side
-  // carry counter, not piggybacked_msgs: on fast loopback every broadcast
-  // tends to win the race with the token, so receiver ADOPTIONS are
-  // legitimately zero here.)
-  std::uint64_t packed = 0, carried = 0;
+  // datagrams.
+  std::uint64_t packed = 0;
   for (std::size_t p = 0; p < 3; ++p) {
     packed += cluster.node(p).stats().datagrams_packed;
-    carried += cluster.node(p).stats().piggyback_carried;
   }
   EXPECT_GT(packed, 0u);
-  EXPECT_GT(carried, 0u);
   EXPECT_EQ(cluster.check_report(), "") << cluster.merged_trace().dump();
 }
 
-TEST(UdpBatchLiveTest, CoalescedFlushSurvivesSustainedAsyncLoad) {
-  // batch_flush_us > 0 parks outgoing datagrams briefly so a token visit's
-  // fan-out leaves in one sendmmsg burst. Under sustained async bursts the
-  // ring must stay live (no artificial token stalls) and conformant.
+TEST(UdpBatchLiveTest, RingSurvivesSustainedAsyncLoad) {
+  // A token visit's fan-out leaves in one sendmmsg burst. Under sustained
+  // async bursts the ring must stay live (no artificial token stalls) and
+  // conformant.
   LiveCluster::Options opts{.num_processes = 3};
-  opts.transport.batch_flush_us = 200;
   LiveCluster cluster(opts);
   SKIP_IF_NO_SOCKETS(cluster.open());
   ASSERT_TRUE(cluster.await_stable()) << "ring never formed over UDP";

@@ -108,6 +108,43 @@ TEST(FaultInjectionTest, TokenLossStormSurvivesViaRetransmission) {
   EXPECT_GT(counters.token_retransmits, 0u) << to_string(counters);
 }
 
+// A token always travels alone in its datagram, so a tokens_only rule
+// reaches every token forward — also those of a holder that broadcast data
+// at the same visit. With every node sending steadily, a total token-loss
+// window shorter than the token-loss timeout must stop the ring dead: no
+// node handles a token until the window closes.
+TEST(FaultInjectionTest, TokenLossReachesTokensOfBusyHolders) {
+  Cluster cluster(storm_options(3, 5, FaultPlan{}));
+  ASSERT_TRUE(cluster.await_stable(3'000'000)) << cluster.liveness_report();
+  const auto tokens_handled = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      n += cluster.node(i).stats().tokens_handled;
+    }
+    return n;
+  };
+  const auto send_steadily = [&](SimTime for_us) {
+    for (SimTime t = 0; t < for_us; t += 100) {
+      for (std::size_t i = 0; i < cluster.size(); ++i) {
+        ASSERT_TRUE(cluster.node(i).send(Service::Agreed, {1, 2, 3}).ok());
+      }
+      cluster.run_for(100);
+    }
+  };
+  send_steadily(2'000);  // every holder has data to broadcast at its visit
+  const SimTime from = cluster.now();
+  cluster.inject_faults(FaultPlan::token_loss(1.0, from, from + 10'000));
+  send_steadily(1'000);  // tokens forwarded before the window still land
+  const std::uint64_t before = tokens_handled();
+  send_steadily(9'000);
+  EXPECT_EQ(tokens_handled(), before) << "a token slipped past the loss window";
+  EXPECT_GT(cluster.fault_stats().token_dropped, 0u);
+
+  cluster.clear_faults();
+  ASSERT_TRUE(cluster.await_quiesce(4'000'000)) << cluster.liveness_report();
+  EXPECT_EQ(cluster.check_report(), "");
+}
+
 // Acceptance scenario from the issue: a 7-process cluster runs the paper's
 // Figure 6 partition/remerge sequence with duplication=0.05, reorder=0.05
 // and corruption=0.02 active throughout, stays conformant to Specs 1-7 and

@@ -218,11 +218,18 @@ TEST(KvTransferSimTest, CorruptSealedChunksAreRejectedAndRetried) {
                        4'000'000));
   write_backlog(kc, s, "w-", 1200, expected);
 
-  // Half of all data datagrams get a payload-tail flip under a fresh seal
-  // for the two seconds spanning the re-merge and first transfer attempts.
+  // Half of the data datagrams reaching the joiner get a payload-tail flip
+  // under a fresh seal for the two seconds spanning the re-merge and first
+  // transfer attempts. Aimed at the joiner: a torn copy at a serving
+  // replica has no catch-up attempt to retry.
   const SimTime from = kc.now();
-  kc.shard_cluster(s).inject_faults(
-      FaultPlan::sealed_corruption(0.5, from, from + 2'000'000));
+  FaultRule rule;
+  rule.dst = kc.pid(lone);
+  rule.data_only = true;
+  rule.corrupt_sealed = 0.5;
+  rule.from_us = from;
+  rule.until_us = from + 2'000'000;
+  kc.shard_cluster(s).inject_faults(FaultPlan{}.add(rule));
   kc.heal_shard(s);
   kc.run_for(2'100'000);
   kc.shard_cluster(s).clear_faults();

@@ -65,8 +65,9 @@ void KvShardedNode::attach_shard(shard::ShardId shard, EvsNode& node) {
         for (const auto& d : batch) apply_locked(shard, d.payload);
       });
   // The transfer engine observes regular configuration installs through the
-  // second config slot (the harness keeps the primary slot for its sink).
-  node.set_on_config_change_observer([this, shard](const Configuration& cfg) {
+  // node's one configuration slot, which the agent takes over just as it
+  // takes over the delivery slot.
+  node.set_on_config_change([this, shard](const Configuration& cfg) {
     if (cfg.id.transitional) return;
     std::lock_guard<std::mutex> cfg_lock(mu_);
     LocalShard* s = find(shard);
@@ -74,7 +75,7 @@ void KvShardedNode::attach_shard(shard::ShardId shard, EvsNode& node) {
     s->engine->on_regular_config(cfg, ctx_locked(shard, *s));
   });
   // A re-attach (harness remap) lands on a node that already has a live
-  // configuration the observer will never replay: sync the engine now.
+  // configuration the handler will never replay: sync the engine now.
   if (node.running() && !node.config().members.empty()) {
     ls.engine->on_regular_config(node.config(), ctx_locked(shard, ls));
   }

@@ -98,11 +98,11 @@ class KvShardedNode {
   KvShardedNode(ProcessId self, const shard::ShardRouter& router,
                 shard::TransferConfig transfer = {});
 
-  /// Wire a locally replicated shard's ring into this agent: the delivery
-  /// handler, the configuration observer feeding the shard's transfer
-  /// engine, and the engine's tick timer. Call once per (agent, shard);
-  /// re-attaching after a harness remap is allowed and re-syncs the engine
-  /// to the node's current configuration.
+  /// Wire a locally replicated shard's ring into this agent: it takes over
+  /// the node's delivery slot and its configuration slot (which feeds the
+  /// shard's transfer engine), and arms the engine's tick timer. Call once
+  /// per (agent, shard); re-attaching after a harness remap is allowed and
+  /// re-syncs the engine to the node's current configuration.
   void attach_shard(shard::ShardId shard, EvsNode& node);
 
   bool has_shard(shard::ShardId shard) const;

@@ -5,16 +5,13 @@
 // Core types and entry points:
 //   evs::EvsNode        — a process running extended virtual synchrony
 //   evs::VsNode         — the Isis-style virtual synchrony filter on top
-//   evs::GroupNode      — process-group addressing over the broadcast domain
-//   evs::FragmentNode   — large-message fragmentation/reassembly
 //   evs::Cluster        — simulation harness (network, stores, trace)
 //   evs::VsCluster      — harness for the VS layer
 //   evs::SpecChecker    — Specifications 1.1-7.2 trace checker
 //   evs::VsChecker      — Birman legality (C1-C3, L1-L5) checker
 //
 // Callbacks use uniform setter names across every node layer:
-//   set_on_deliver(...)        — per-message delivery callback (EvsNode,
-//                                GroupNode, FragmentNode, VsNode)
+//   set_on_deliver(...)        — per-message delivery (EvsNode, VsNode)
 //   set_on_deliver_batch(...)  — zero-copy batch delivery: a
 //                                std::span<const EvsNode::DeliveryView>
 //                                whose payload spans borrow the arriving
@@ -24,9 +21,7 @@
 //                                over it, and the latest registration of
 //                                either form receives every delivery
 //   set_on_config_change(...)  — configuration changes (EvsNode)
-//   set_on_view_change(...)    — per-group views (GroupNode), VS views (VsNode)
-// (The old set_*_handler names went through a [[deprecated]] cycle and are
-// gone.)
+//   set_on_view_change(...)    — VS views (VsNode)
 //
 // The wire codec (wire/codec.hpp) is span-based: decode_* / peek_type take
 // std::span<const std::uint8_t>, frames pack back-to-back into one datagram
@@ -41,7 +36,6 @@
 //   EvsNode::send(...)             -> Expected<MsgId>
 //   EvsNode::send_batch(...)       -> Expected<std::vector<MsgId>>
 //                                     (all-or-nothing vs flow control)
-//   FragmentNode::send_large(...)  -> Expected<MsgId>
 //   wire::seal_frame/open_frame    -> Expected<...>
 // EvsNode::Options::validate() rejects inconsistent timeout/limit
 // combinations at construction time (Errc::invalid_options).
@@ -63,8 +57,6 @@
 #pragma once
 
 #include "evs/config.hpp"
-#include "evs/fragment.hpp"
-#include "evs/groups.hpp"
 #include "evs/node.hpp"
 #include "evs/recovery.hpp"
 #include "net/arena.hpp"

@@ -663,7 +663,6 @@ void EvsNode::emit_conf_change(const Configuration& config, Ord ord) {
     trace_->record(std::move(e));
   }
   if (config_handler_) config_handler_(config);
-  if (config_observer_) config_observer_(config);
 }
 
 void EvsNode::deliver_batch(const std::vector<RegularMsgView>& msgs,

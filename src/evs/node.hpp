@@ -18,7 +18,7 @@
 //   n2.start();
 //
 // Applications observe two callbacks, registered with the uniform setters
-// shared by every node layer (EvsNode, GroupNode, FragmentNode, VsNode):
+// shared by every node layer (EvsNode, VsNode):
 //   set_on_deliver(h)        - a message delivery, tagged with the
 //                              configuration (regular or transitional) it is
 //                              delivered in
@@ -246,28 +246,19 @@ class EvsNode final : public Endpoint {
   EvsNode(const EvsNode&) = delete;
   EvsNode& operator=(const EvsNode&) = delete;
 
-  /// The node has ONE delivery slot, and the latest registration through
-  /// either setter owns it: every delivery — regular, and the recovery-time
-  /// 6.b/6.d deliveries in the old regular and the transitional
-  /// configuration — reaches that one handler exactly once.
+  /// The node has ONE delivery slot and ONE configuration slot, and the
+  /// latest registration owns each: every delivery — regular, and the
+  /// recovery-time 6.b/6.d deliveries in the old regular and the
+  /// transitional configuration — and every configuration install reaches
+  /// its one handler exactly once.
   ///
   /// Register the zero-copy batch delivery callback.
   void set_on_deliver_batch(DeliverBatchHandler h) { deliver_handler_ = std::move(h); }
-  /// Register a per-message callback (uniform setter name across all node
-  /// layers: EvsNode, GroupNode, FragmentNode, VsNode). An adapter over the
-  /// batch slot: each view is copied into an owned Delivery.
+  /// Register a per-message callback (the setter name VsNode shares). An
+  /// adapter over the batch slot: each view is copied into an owned Delivery.
   void set_on_deliver(DeliverHandler h);
   /// Register the configuration-change callback.
   void set_on_config_change(ConfigHandler h) { config_handler_ = std::move(h); }
-  /// Register a SECOND configuration-change observer, invoked after the
-  /// primary handler on every configuration install. A harness typically
-  /// owns the primary slot (its sink records installs); an application
-  /// agent stacked on the same node (e.g. apps::KvShardedNode's state
-  /// transfer) observes through this slot without clobbering it. Single
-  /// slot, latest registration wins.
-  void set_on_config_change_observer(ConfigHandler h) {
-    config_observer_ = std::move(h);
-  }
 
   /// Boot (fresh start or recovery with intact stable storage). Installs a
   /// singleton regular configuration — delivering the persisted backlog in a
@@ -501,8 +492,7 @@ class EvsNode final : public Endpoint {
 
   // callbacks
   DeliverBatchHandler deliver_handler_;  ///< the one delivery slot
-  ConfigHandler config_handler_;
-  ConfigHandler config_observer_;
+  ConfigHandler config_handler_;         ///< the one configuration slot
   std::function<void()> drain_handler_;
   bool backpressured_{false};  ///< a send was rejected since the last drain
 

@@ -1,8 +1,8 @@
 #include "testkit/kv_cluster.hpp"
 
 #include <algorithm>
-#include <sstream>
 
+#include "testkit/kv_check.hpp"
 #include "util/assert.hpp"
 
 namespace evs {
@@ -170,78 +170,11 @@ bool KvCluster::remap(const std::vector<ProcessId>& alive) {
 }
 
 std::string KvCluster::check_report(bool quiescent) const {
-  std::ostringstream out;
-  for (shard::ShardId s = 0; s < shards_.size(); ++s) {
-    const std::string report = shards_[s]->check_report(quiescent);
-    if (report.empty()) continue;
-    std::istringstream lines(report);
-    std::string line;
-    while (std::getline(lines, line)) {
-      out << "[shard " << s << "] " << line << '\n';
-    }
-  }
-  return out.str();
-}
-
-bool KvCluster::replicas_agree(shard::ShardId shard) const {
-  return divergence(shard).empty();
+  return shard_check_report(shards_, quiescent);
 }
 
 std::string KvCluster::divergence(shard::ShardId shard) const {
-  std::ostringstream out;
-  const shard::KvStore* first = nullptr;
-  ProcessId first_pid{0};
-  for (const ProcessId p : router_.replicas(shard)) {
-    const shard::KvStore* store = agents_[p.value - 1]->store(shard);
-    if (store == nullptr) {
-      out << "replica p" << p.value << " has no store for shard " << shard
-          << '\n';
-      continue;
-    }
-    if (first == nullptr) {
-      first = store;
-      first_pid = p;
-      continue;
-    }
-    // Fingerprints are maintained incrementally and order-independent:
-    // equal contents MUST produce equal fingerprints, and we also refuse
-    // to trust a matching fingerprint over differing contents (which
-    // would mean the incremental maintenance itself broke).
-    const bool fp_match = store->fingerprint() == first->fingerprint();
-    const bool map_match = store->contents() == first->contents();
-    if (fp_match && map_match) continue;
-    out << "replica p" << p.value << " diverges from p" << first_pid.value
-        << ": fingerprint " << store->fingerprint() << " vs "
-        << first->fingerprint() << ", size " << store->size() << " vs "
-        << first->size();
-    // First byte-level differing entry, scanning both key sets.
-    const auto& a = first->contents();
-    const auto& b = store->contents();
-    auto ia = a.begin();
-    auto ib = b.begin();
-    while (ia != a.end() || ib != b.end()) {
-      if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
-        out << "; first diff: key \"" << ia->first << "\" only at p"
-            << first_pid.value;
-        break;
-      }
-      if (ia == a.end() || ib->first < ia->first) {
-        out << "; first diff: key \"" << ib->first << "\" only at p"
-            << p.value;
-        break;
-      }
-      if (ia->second != ib->second) {
-        out << "; first diff: key \"" << ia->first << "\" value \""
-            << ia->second << "\" vs \"" << ib->second << "\"";
-        break;
-      }
-      ++ia;
-      ++ib;
-    }
-    out << '\n';
-  }
-  if (first == nullptr) out << "shard " << shard << " has no stores\n";
-  return out.str();
+  return replica_divergence(router_, agents_, shard);
 }
 
 obs::MetricsRegistry KvCluster::aggregate_metrics() const {

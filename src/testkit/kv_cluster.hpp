@@ -12,10 +12,11 @@
 // token. A membership change re-derives every replica group from the
 // surviving members (remap()).
 //
-// Note: attaching a shard takes over that node's one delivery slot, so
-// the underlying Cluster::Sink stops recording deliveries for replica
-// nodes. Spec checking (check_report) reads the TraceLog and is
-// unaffected; assert on KvStore contents / agent stats instead of sinks.
+// Note: attaching a shard takes over both of that node's slots, delivery
+// and configuration, so the underlying Cluster::Sink stops recording
+// deliveries and configurations for replica nodes. Spec checking
+// (check_report) reads the TraceLog and is unaffected; assert on KvStore
+// contents / agent stats instead of sinks.
 #pragma once
 
 #include <memory>
@@ -103,14 +104,12 @@ class KvCluster {
   /// shard id; empty when every shard's trace is conformant.
   std::string check_report(bool quiescent = true) const;
 
-  /// True when every pair of replicas of `shard` holds an identical map —
-  /// store fingerprints first (O(1) per replica), contents as a backstop
-  /// so an incremental-fingerprint bug cannot mask real divergence.
-  bool replicas_agree(shard::ShardId shard) const;
-
-  /// Empty when replicas agree; otherwise one line per divergent replica
-  /// with its fingerprint/size and the first byte-level differing entry
-  /// versus the lowest-id replica (the anti-entropy tests' debugging aid).
+  /// True when every pair of replicas of `shard` holds an identical map.
+  bool replicas_agree(shard::ShardId shard) const {
+    return divergence(shard).empty();
+  }
+  /// Empty when replicas agree; otherwise the first difference per
+  /// divergent replica (see replica_divergence in testkit/kv_check.hpp).
   std::string divergence(shard::ShardId shard) const;
 
   /// Every shard cluster's aggregate, plus every agent's kv.* registry,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
+#include "testkit/kv_check.hpp"
 #include "util/assert.hpp"
 
 namespace evs {
@@ -149,33 +149,12 @@ bool KvLiveCluster::all_serving() {
   return true;
 }
 
-bool KvLiveCluster::replicas_agree(shard::ShardId shard) const {
-  const shard::KvStore* first = nullptr;
-  for (const ProcessId p : router_.replicas(shard)) {
-    const shard::KvStore* store = agents_[p.value - 1]->store(shard);
-    if (store == nullptr) return false;
-    if (first == nullptr) {
-      first = store;
-    } else if (store->fingerprint() != first->fingerprint() ||
-               store->contents() != first->contents()) {
-      return false;
-    }
-  }
-  return first != nullptr;
+std::string KvLiveCluster::divergence(shard::ShardId shard) const {
+  return replica_divergence(router_, agents_, shard);
 }
 
 std::string KvLiveCluster::check_report(bool quiescent) const {
-  std::ostringstream out;
-  for (shard::ShardId s = 0; s < shards_.size(); ++s) {
-    const std::string report = shards_[s]->check_report(quiescent);
-    if (report.empty()) continue;
-    std::istringstream lines(report);
-    std::string line;
-    while (std::getline(lines, line)) {
-      out << "[shard " << s << "] " << line << '\n';
-    }
-  }
-  return out.str();
+  return shard_check_report(shards_, quiescent);
 }
 
 obs::MetricsRegistry KvLiveCluster::aggregate_metrics() const {

@@ -85,7 +85,12 @@ class KvLiveCluster {
 
   /// True when every pair of replicas of `shard` holds an identical map.
   /// Requires stop() (stores are loop-thread-written while running).
-  bool replicas_agree(shard::ShardId shard) const;
+  bool replicas_agree(shard::ShardId shard) const {
+    return divergence(shard).empty();
+  }
+  /// Empty when replicas agree; otherwise the first difference per
+  /// divergent replica (see replica_divergence). Requires stop().
+  std::string divergence(shard::ShardId shard) const;
 
   /// Per-shard spec-check reports, shard-prefixed. Requires stop().
   std::string check_report(bool quiescent = true) const;

@@ -8,11 +8,13 @@
 // with payload spans valid for the callback only. A node has one delivery
 // slot: the latest registration, batch or per-message, receives every
 // delivery — including recovery-time transitional ones — exactly once.
+// Its one configuration slot works the same way for configuration changes.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "testkit/cluster.hpp"
@@ -183,11 +185,19 @@ struct SlotRun {
   std::map<std::pair<MsgId, ConfigId>, int> batch_seen;
   std::map<std::pair<MsgId, ConfigId>, int> per_message_seen;
   int transitional_traced{0};
+  /// Configuration changes the node installed after registration, in trace
+  /// order, and those the re-registered config handler received.
+  std::vector<std::string> configs_traced;
+  std::vector<std::string> configs_seen;
+  int transitional_configs_traced{0};
+  /// Configurations the harness sink recorded after the re-registration.
+  std::size_t sink_configs_after{0};
 };
 
 /// Node 1 of a 3-node ring registers both delivery forms in the given
-/// order; safe bursts are in flight when {0} is cut off, so the {1, 2}
-/// side delivers part of the backlog in the transitional configuration.
+/// order, and a config handler over the one the harness wired; safe bursts
+/// are in flight when {0} is cut off, so the {1, 2} side delivers part of
+/// the backlog in the transitional configuration.
 SlotRun run_slot_scenario(LastSetter last, SimTime cut_after_us) {
   Cluster cluster;
   SlotRun run;
@@ -206,6 +216,9 @@ SlotRun run_slot_scenario(LastSetter last, SimTime cut_after_us) {
     node.set_on_deliver_batch(batch);
     node.set_on_deliver(per_message);
   }
+  node.set_on_config_change(
+      [&](const Configuration& c) { run.configs_seen.push_back(to_string(c.id)); });
+  const std::size_t sink_configs_from = cluster.sink(1u).configs.size();
   const std::size_t trace_from = cluster.trace().size();
   for (std::size_t p = 0; p < cluster.size(); ++p) {
     if (!cluster.node(p).send_batch(Service::Safe, payloads_of(8, 16)).ok()) return run;
@@ -216,10 +229,16 @@ SlotRun run_slot_scenario(LastSetter last, SimTime cut_after_us) {
   const auto& events = cluster.trace().events();
   for (std::size_t i = trace_from; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    if (e.type != EventType::Deliver || e.process != node.id()) continue;
+    if (e.process != node.id()) continue;
+    if (e.type == EventType::DeliverConf) {
+      run.configs_traced.push_back(to_string(e.config));
+      if (e.config.transitional) ++run.transitional_configs_traced;
+    }
+    if (e.type != EventType::Deliver) continue;
     ++run.traced[{e.msg, e.config}];
     if (e.config.transitional) ++run.transitional_traced;
   }
+  run.sink_configs_after = cluster.sink(1u).configs.size() - sink_configs_from;
   EXPECT_EQ(cluster.check_report(), "");
   return run;
 }
@@ -246,6 +265,13 @@ void expect_last_setter_owns_stream(LastSetter last) {
   }
   EXPECT_EQ(transitional_seen, run.transitional_traced);
   EXPECT_TRUE(other.empty()) << "the earlier registration must be replaced";
+  // The config slot: the handler registered last received every traced
+  // configuration change, transitional included, once each in trace order,
+  // and the harness sink it replaced recorded none.
+  ASSERT_GT(run.transitional_configs_traced, 0)
+      << "the cut installed no transitional configuration";
+  EXPECT_EQ(run.configs_seen, run.configs_traced);
+  EXPECT_EQ(run.sink_configs_after, 0u);
 }
 
 TEST(DeliverSlotTest, BatchRegisteredLastReceivesTransitionalDeliveriesOnce) {

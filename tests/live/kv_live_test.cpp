@@ -49,7 +49,7 @@ TEST(KvLiveTest, ShardedWritesConvergeOverRealSockets) {
 
   kc.stop();
   for (shard::ShardId s = 0; s < kc.num_shards(); ++s) {
-    EXPECT_TRUE(kc.replicas_agree(s)) << "shard " << s;
+    EXPECT_TRUE(kc.replicas_agree(s)) << "shard " << s << ": " << kc.divergence(s);
   }
   EXPECT_EQ(kc.check_report(), "");
 

@@ -16,8 +16,7 @@
 //   quiesce                 run until traffic drains
 //
 // Example — the Figure 6 scenario:
-//   scenario_runner -n 5 part 0,1,2|3,4 stable send 0 agreed 3 quiesce \
-//                   part 0|1,2,3,4 quiesce -trace
+//   scenario_runner -n 5 part 0,1,2|3,4 stable send 0 agreed 3 quiesce part 0|1,2,3,4 quiesce -trace
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -76,6 +76,13 @@ class Transport {
   /// virtual-time scheduler; live transports map the same API onto the wall
   /// clock (now() = microseconds since the transport opened).
   virtual Scheduler& scheduler() = 0;
+
+  /// Hint that traffic for this process will keep arriving for the next
+  /// `us` (an idle token ring is waking up; DESIGN.md "Token hold"). A live
+  /// transport then polls without sleeping until that time has passed, so
+  /// each hop of the rotations that follow lands on a running thread
+  /// instead of paying a wake-up. The simulator has nothing to wake.
+  virtual void expect_traffic(SimTime us) { (void)us; }
 };
 
 }  // namespace evs

@@ -512,6 +512,12 @@ void UdpTransport::drain_socket(int budget) {
 
 int UdpTransport::service() {
   EVS_ASSERT_MSG(is_open(), "service on a transport that is not open");
+  // Advance before the posted tasks run: they read now() (for the timers
+  // they arm and the events they trace) after a sleep that may have lasted
+  // milliseconds. Advance again after them, so a zero-delay timer a task
+  // armed (a send releasing a held token) fires in this pass and its
+  // datagrams leave in the flush below.
+  advance_clock();
   drain_posted();
   advance_clock();
   flush_backlog();
@@ -531,12 +537,23 @@ int UdpTransport::service() {
       stats_.datagrams_received.load(std::memory_order_relaxed) - before);
 }
 
+void UdpTransport::expect_traffic(SimTime us) {
+  awake_until_ = std::max(awake_until_, wall_now_us() + us);
+}
+
 std::optional<SimTime> UdpTransport::next_deadline_us() {
   std::optional<SimTime> deadline;
   if (auto next = scheduler_.next_time(); next.has_value()) deadline = *next;
   // Sends queued by the pass's trailing timers, or parked behind a backlog,
   // want another pass now.
   if (!backlog_.empty() || !out_batch_.empty()) deadline = 0;
+  if (awake_until_ != 0) {
+    if (awake_until_ > wall_now_us()) {
+      deadline = 0;
+    } else {
+      awake_until_ = 0;
+    }
+  }
   return deadline;
 }
 

@@ -203,6 +203,9 @@ class UdpTransport final : public Transport {
   void unicast(ProcessId from, ProcessId to,
                std::vector<std::uint8_t> payload) override;
   Scheduler& scheduler() override { return scheduler_; }
+  /// Poll without sleeping for the next `us` (next_deadline_us() reads
+  /// "now" until then). Called by the driving thread only.
+  void expect_traffic(SimTime us) override;
 
   // --- event loop (self-driven mode) ---
   /// One iteration: service the transport, park in ppoll for at most
@@ -223,7 +226,8 @@ class UdpTransport final : public Transport {
   /// Absolute time (in this transport's wall_now_us() base) by which the
   /// driver must service this transport again: the next scheduler timer,
   /// or "now" while queued sends wait for a flush (or a backlog for
-  /// POLLOUT). nullopt = nothing time-bounded pending.
+  /// POLLOUT) or while expect_traffic() keeps the transport awake.
+  /// nullopt = nothing time-bounded pending.
   std::optional<SimTime> next_deadline_us();
   /// Non-blocking work pass: posted closures, clock advance + due timers,
   /// backlog flush, bounded socket drain (Options::max_recv_per_poll),
@@ -303,6 +307,7 @@ class UdpTransport final : public Transport {
 
   Options options_;
   Scheduler scheduler_;
+  SimTime awake_until_{0};  ///< expect_traffic(): poll without sleeping until then
   int fd_{-1};
   int wake_fd_{-1};       ///< eventfd the poster writes to wake poll()
   std::uint16_t port_{0};

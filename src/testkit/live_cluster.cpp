@@ -36,7 +36,6 @@ EvsNode::Options live_node_defaults() {
   o.consensus_wait_timeout_us = 120'000;
   o.exchange_interval_us = 10'000;
   o.recovery_timeout_us = 400'000;
-  o.singleton_token_interval_us = 10'000;
   return o;
 }
 

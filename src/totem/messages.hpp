@@ -1,13 +1,16 @@
 // Wire-level protocol messages.
 //
-// Six message kinds cross the network:
-//   Regular     - an application message with its ring sequence number
-//   Token       - the circulating ordering token (unicast around the ring)
-//   Join        - membership gather: sender's candidate and fail sets
-//   FormRing    - representative's proposal of a new ring (membership consensus)
-//   Exchange    - EVS recovery step 3: a member's old-ring state summary
-//   RecoveryMsg - EVS recovery step 5: rebroadcast of an old-ring message
-//   RecoveryAck - EVS recovery step 5: receiver's updated received-set
+// Nine message kinds cross the network:
+//   Regular         - an application message with its ring sequence number
+//   Token           - the circulating ordering token (unicast around the ring)
+//   Join            - membership gather: sender's candidate and fail sets
+//   FormRing        - representative's proposal of a new ring (membership consensus)
+//   Exchange        - EVS recovery step 3: a member's old-ring state summary
+//   RecoveryMsg     - EVS recovery step 5: rebroadcast of an old-ring message
+//   RecoveryAck     - EVS recovery step 5: receiver's updated received-set
+//   Beacon          - periodic presence announcement (merge detection)
+//   TokenHoldCancel - a member with something to send wakes the idle ring's
+//                     representative, which is holding the token
 // Every kind serializes with a leading type byte; see totem/token.cpp.
 #pragma once
 
@@ -33,13 +36,15 @@ enum class MsgType : std::uint8_t {
   RecoveryMsg = 6,
   RecoveryAck = 7,
   Beacon = 8,
+  TokenHoldCancel = 9,
 };
 
 /// Valid type-byte range, derived from the enum so peek_type and the fuzz
 /// round-trip test cannot drift when a message kind is added. Keep kMsgTypeMax
 /// pointing at the last enumerator.
 inline constexpr std::uint8_t kMsgTypeMin = static_cast<std::uint8_t>(MsgType::Regular);
-inline constexpr std::uint8_t kMsgTypeMax = static_cast<std::uint8_t>(MsgType::Beacon);
+inline constexpr std::uint8_t kMsgTypeMax =
+    static_cast<std::uint8_t>(MsgType::TokenHoldCancel);
 
 /// Decode-time bound on a token's retransmission-request set: total element
 /// cardinality, not interval count. The ring itself caps the rtr set it
@@ -165,6 +170,18 @@ struct BeaconMsg {
   RingId ring;
 };
 
+/// Token hold cancel (Corosync's token_hold_cancel): multicast to the whole
+/// ring by a member that has something to send while the ring's
+/// representative may be holding the idle ring's token (DESIGN.md "Token
+/// hold"). Only the holder acts on it: it processes and forwards the held
+/// token at once. The other members drop it, but its arrival has already
+/// woken them for the rotation that follows. A cancel for any other ring is
+/// ignored.
+struct TokenHoldCancelMsg {
+  ProcessId sender;
+  RingId ring;
+};
+
 // --- codec -------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_msg(const RegularMsg& m);
@@ -176,13 +193,15 @@ std::vector<std::uint8_t> encode_msg(const ExchangeMsg& m);
 std::vector<std::uint8_t> encode_msg(const RecoveryMsgMsg& m);
 std::vector<std::uint8_t> encode_msg(const RecoveryAckMsg& m);
 std::vector<std::uint8_t> encode_msg(const BeaconMsg& m);
+std::vector<std::uint8_t> encode_msg(const TokenHoldCancelMsg& m);
 
 /// Type of an encoded packet, or nullopt if the buffer is empty/invalid.
 std::optional<MsgType> peek_type(std::span<const std::uint8_t> buf);
 
 /// Any protocol message, as produced by the strict decoder below.
 using AnyMsg = std::variant<RegularMsg, TokenMsg, JoinMsg, FormRingMsg, ExchangeMsg,
-                            RecoveryMsgMsg, RecoveryAckMsg, BeaconMsg>;
+                            RecoveryMsgMsg, RecoveryAckMsg, BeaconMsg,
+                            TokenHoldCancelMsg>;
 
 /// Strict, non-asserting decoder for untrusted bytes. Returns nullopt for
 /// any buffer that is truncated, has trailing bytes, carries an unknown type
@@ -212,6 +231,7 @@ ExchangeMsg decode_exchange(std::span<const std::uint8_t> buf);
 RecoveryMsgMsg decode_recovery_msg(std::span<const std::uint8_t> buf);
 RecoveryAckMsg decode_recovery_ack(std::span<const std::uint8_t> buf);
 BeaconMsg decode_beacon(std::span<const std::uint8_t> buf);
+TokenHoldCancelMsg decode_token_hold_cancel(std::span<const std::uint8_t> buf);
 
 // --- transitional shims ------------------------------------------------------
 //

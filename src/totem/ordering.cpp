@@ -269,6 +269,18 @@ OrderingCore::TokenResult OrderingCore::on_token(const TokenMsg& token,
   prev_visit_aru_ = out.aru;
   seen_token_ = true;
 
+  // 6. Idle rule for the token hold (see may_hold() for the count).
+  const bool quiet = result.to_broadcast.empty() && pending.empty() && out.rtr.empty() &&
+                     out.aru == out.seq;
+  if (!quiet) {
+    quiet_visits_ = 0;
+  } else if (quiet_visits_ > 0 && quiet_seq_ == out.seq) {
+    quiet_visits_ = std::min(quiet_visits_ + 1, kQuietVisitsBeforeHold);
+  } else {
+    quiet_visits_ = 1;
+  }
+  quiet_seq_ = out.seq;
+
   out.rotation = token.rotation + 1;
   last_rotation_ = token.rotation;
   result.token_out = out;

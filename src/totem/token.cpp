@@ -168,13 +168,24 @@ std::optional<RecoveryAckMsg> read_recovery_ack(wire::Reader& r) {
   return m;
 }
 
-std::optional<BeaconMsg> read_beacon(wire::Reader& r) {
-  BeaconMsg m;
+/// BeaconMsg and TokenHoldCancelMsg share one layout: a sender and a ring.
+template <typename T>
+std::optional<T> read_sender_ring(wire::Reader& r) {
+  T m;
   m.sender = r.pid();
   m.ring = decode_ring_id(r);
   if (!r.ok()) return std::nullopt;
   if (m.sender == ProcessId{} || !m.ring.valid()) return std::nullopt;
   return m;
+}
+
+template <typename T>
+std::vector<std::uint8_t> encode_sender_ring(MsgType type, const T& m) {
+  wire::Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.pid(m.sender);
+  encode(w, m.ring);
+  return w.take();
 }
 
 /// Strict decode of one message of the `expected` kind, validating the type
@@ -223,7 +234,11 @@ std::optional<AnyMsg> try_decode(std::span<const std::uint8_t> buf) {
       return wrap(strict_decode(buf, MsgType::RecoveryMsg, read_recovery_msg));
     case MsgType::RecoveryAck:
       return wrap(strict_decode(buf, MsgType::RecoveryAck, read_recovery_ack));
-    case MsgType::Beacon: return wrap(strict_decode(buf, MsgType::Beacon, read_beacon));
+    case MsgType::Beacon:
+      return wrap(strict_decode(buf, MsgType::Beacon, read_sender_ring<BeaconMsg>));
+    case MsgType::TokenHoldCancel:
+      return wrap(strict_decode(buf, MsgType::TokenHoldCancel,
+                                read_sender_ring<TokenHoldCancelMsg>));
   }
   return std::nullopt;
 }
@@ -359,15 +374,20 @@ RecoveryAckMsg decode_recovery_ack(std::span<const std::uint8_t> buf) {
 }
 
 std::vector<std::uint8_t> encode_msg(const BeaconMsg& m) {
-  wire::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Beacon));
-  w.pid(m.sender);
-  encode(w, m.ring);
-  return w.take();
+  return encode_sender_ring(MsgType::Beacon, m);
 }
 
 BeaconMsg decode_beacon(std::span<const std::uint8_t> buf) {
-  return checked_decode(buf, MsgType::Beacon, read_beacon);
+  return checked_decode(buf, MsgType::Beacon, read_sender_ring<BeaconMsg>);
+}
+
+std::vector<std::uint8_t> encode_msg(const TokenHoldCancelMsg& m) {
+  return encode_sender_ring(MsgType::TokenHoldCancel, m);
+}
+
+TokenHoldCancelMsg decode_token_hold_cancel(std::span<const std::uint8_t> buf) {
+  return checked_decode(buf, MsgType::TokenHoldCancel,
+                        read_sender_ring<TokenHoldCancelMsg>);
 }
 
 }  // namespace evs

@@ -108,17 +108,35 @@ TEST(NodeTest, ConfigMembersSortedAndContainSelf) {
 }
 
 TEST(NodeTest, SingletonTokenIsPaced) {
-  // An idle singleton must not spin the scheduler at link-delay frequency.
+  // A one-member ring holds its idle token like any other ring (its
+  // representative is itself), so it does not spin the scheduler at
+  // link-delay frequency: one visit per hold plus one loopback delay.
   Cluster::Options opts;
   opts.num_processes = 1;
-  opts.node.singleton_token_interval_us = 1'000;
   Cluster cluster(opts);
   cluster.await_stable(1'000'000);
-  const std::uint64_t before = cluster.node(0u).stats().tokens_handled;
+  EvsNode& node = cluster.node(0u);
+  const SimTime hold = node.options().token_hold_for(1);
+  ASSERT_GT(hold, 0u);
+  const std::uint64_t before = node.stats().tokens_handled;
   cluster.run_for(100'000);
-  const std::uint64_t tokens = cluster.node(0u).stats().tokens_handled - before;
-  EXPECT_LE(tokens, 110u);  // ~1 per ms, not ~1 per 50us
-  EXPECT_GE(tokens, 50u);
+  const std::uint64_t tokens = node.stats().tokens_handled - before;
+  EXPECT_LE(tokens, 100'000 / hold + 1);
+  EXPECT_GE(tokens, 100'000 / (hold + opts.net.max_delay_us) - 1);
+  EXPECT_GT(node.metrics().counter("evs.token_holds").value(), 0u);
+
+  // A send releases the held token at once: it is stamped and delivered
+  // within one network delay, not after the rest of the hold.
+  const SimTime sent_at = cluster.now();
+  const MsgId id = node.send(Service::Safe, {7}).value();
+  cluster.run_for(opts.net.max_delay_us);
+  ASSERT_NE(cluster.sink(0u).find(id), nullptr) << "not delivered within one network delay";
+  SimTime delivered_at = 0;
+  for (const TraceEvent& e : cluster.trace().events()) {
+    if (e.type == EventType::Deliver && e.msg == id) delivered_at = e.time;
+  }
+  EXPECT_LE(delivered_at - sent_at, opts.net.max_delay_us);
+  EXPECT_EQ(cluster.check_report(), "");
 }
 
 TEST(NodeTest, LargePayloadRoundTrips) {

@@ -379,5 +379,26 @@ TEST(UdpTransportTest, SubMillisecondTimerEndsAQuietPollOnTime) {
   EXPECT_LT(min_us, 900) << "timer latency floor is above the 200us deadline";
 }
 
+TEST(UdpTransportTest, PostedTaskSeesTheCurrentClockAfterAnIdleSpell) {
+  // A transport that has been idle for 20 ms or more (an idle ring holding
+  // its token sleeps that long) runs a posted task: the task's now() must be
+  // the wall clock, not the time of the previous pass, or the timers it
+  // arms fire early by the whole idle spell.
+  UdpTransport a;
+  SKIP_IF_NO_SOCKETS(a.open());
+  a.poll_once(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  SimTime seen = 0;
+  SimTime wall = 0;
+  ASSERT_TRUE(a.post([&] {
+    seen = a.scheduler().now();
+    wall = a.wall_now_us();
+  }));
+  a.poll_once(0);
+  ASSERT_NE(wall, 0u) << "posted task did not run";
+  EXPECT_LE(wall - seen, 1'000u) << "posted task saw a clock " << (wall - seen)
+                                 << " us stale";
+}
+
 }  // namespace
 }  // namespace evs

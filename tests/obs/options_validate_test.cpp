@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "evs/node.hpp"
+#include "testkit/live_cluster.hpp"
 #include "wire/codec.hpp"
 
 namespace evs {
@@ -52,10 +53,6 @@ TEST(OptionsValidate, TimeoutsMustBePositive) {
   expect_rejected(o, "recovery_timeout_us");
 
   o = {};
-  o.singleton_token_interval_us = 0;
-  expect_rejected(o, "singleton_token_interval_us");
-
-  o = {};
   o.token_retransmit_interval_us = 0;
   expect_rejected(o, "token_retransmit_interval_us");
 }
@@ -77,6 +74,52 @@ TEST(OptionsValidate, RetransmitBurstMustStayBelowLossTimeout) {
   // Strictly below passes.
   o.token_loss_timeout_us = 7'501;
   EXPECT_TRUE(o.validate().ok());
+}
+
+TEST(OptionsValidate, TokenHoldIsPositive) {
+  // The hold is derived (half the retransmit interval, or half the loss
+  // timeout without retransmission), so the rule bounds its sources.
+  EvsNode::Options o;
+  o.token_retransmit_interval_us = 1;
+  expect_rejected(o, "token hold");
+  o.token_retransmit_interval_us = 2;
+  EXPECT_TRUE(o.validate().ok());
+  EXPECT_EQ(o.token_hold_for(1), 1u);
+
+  o = {};
+  o.token_retransmit_limit = 0;
+  o.token_loss_timeout_us = 1;
+  expect_rejected(o, "token hold");
+}
+
+TEST(OptionsValidate, TokenHoldLeavesARotationBeforeEveryTokenTimer) {
+  // By construction, for every validated profile and ring size: the hold
+  // plus a rotation of up to the hold's own length fits inside the
+  // predecessor's retransmit guard, and the guard inside the token-loss
+  // timeout, so no timer reads a hold as a loss. scaled_for(n) and the live
+  // profile stretch the hold with the timers it derives from.
+  const auto check = [](const EvsNode::Options& o, std::size_t n) {
+    ASSERT_TRUE(o.validate().ok());
+    const SimTime hold = o.token_hold_for(n);
+    EXPECT_GT(hold, 0u) << "n=" << n;
+    if (o.token_retransmit_limit > 0) {
+      EXPECT_LE(2 * hold, o.token_retransmit_for(n)) << "n=" << n;
+      EXPECT_LT(o.token_retransmit_for(n), o.token_loss_for(n)) << "n=" << n;
+    } else {
+      EXPECT_LE(2 * hold, o.token_loss_for(n)) << "n=" << n;
+    }
+  };
+  for (std::size_t n : {1u, 2u, 5u, 8u, 9u, 16u, 50u, 100u, 300u}) {
+    check(EvsNode::Options{}, n);
+    check(EvsNode::Options::scaled_for(n), n);
+    check(live_node_defaults_scaled(n), n);
+    EvsNode::Options no_retransmit;
+    no_retransmit.token_retransmit_limit = 0;
+    check(no_retransmit, n);
+  }
+  // The defaults quoted in DESIGN.md "Timer scaling".
+  EXPECT_EQ(EvsNode::Options{}.token_hold_for(5), 1'850u);
+  EXPECT_EQ(live_node_defaults().token_hold_for(5), 13'100u);
 }
 
 TEST(OptionsValidate, JoinIntervalMustStayBelowGatherFailTimeout) {

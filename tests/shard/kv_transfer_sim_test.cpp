@@ -218,15 +218,17 @@ TEST(KvTransferSimTest, CorruptSealedChunksAreRejectedAndRetried) {
                        4'000'000));
   write_backlog(kc, s, "w-", 1200, expected);
 
-  // Half of the data datagrams reaching the joiner get a payload-tail flip
-  // under a fresh seal for the two seconds spanning the re-merge and first
-  // transfer attempts. Aimed at the joiner: a torn copy at a serving
-  // replica has no catch-up attempt to retry.
+  // Every data datagram reaching the joiner gets a payload-tail flip under
+  // a fresh seal for the two seconds spanning the re-merge and first
+  // transfer attempts (with only half of them torn, whether any chunk is
+  // hit depends on how the ring's timing packs the datagrams). Aimed at
+  // the joiner: a torn copy at a serving replica has no catch-up attempt
+  // to retry.
   const SimTime from = kc.now();
   FaultRule rule;
   rule.dst = kc.pid(lone);
   rule.data_only = true;
-  rule.corrupt_sealed = 0.5;
+  rule.corrupt_sealed = 1.0;
   rule.from_us = from;
   rule.until_us = from + 2'000'000;
   kc.shard_cluster(s).inject_faults(FaultPlan{}.add(rule));

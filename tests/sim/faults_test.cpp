@@ -108,6 +108,15 @@ TEST(FaultInjectorTest, TokenLossPlanTargetsOnlyTokenFrames) {
       wire::seal_frame(encode_msg(BeaconMsg{ProcessId{1}, RingId{1, ProcessId{1}}})).value();
   const auto beacon_action = inj.apply(ProcessId{1}, ProcessId{2}, 0, beacon_frame);
   EXPECT_FALSE(beacon_action.drop);
+
+  // A TokenHoldCancel is control traffic, not a token: token_loss never
+  // drops the message that wakes a held token.
+  std::vector<std::uint8_t> cancel_frame =
+      wire::seal_frame(encode_msg(TokenHoldCancelMsg{ProcessId{2}, RingId{1, ProcessId{1}}}))
+          .value();
+  const auto cancel_action = inj.apply(ProcessId{2}, ProcessId{1}, 0, cancel_frame);
+  EXPECT_FALSE(cancel_action.drop);
+  EXPECT_EQ(inj.stats().token_dropped, 1u);
 }
 
 TEST(FaultInjectorTest, LogIsBoundedAndFormats) {

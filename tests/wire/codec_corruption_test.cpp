@@ -76,6 +76,8 @@ std::vector<std::vector<std::uint8_t>> sample_bodies() {
   bodies.push_back(encode_msg(ack));
 
   bodies.push_back(encode_msg(BeaconMsg{ProcessId{4}, RingId{12, ProcessId{4}}}));
+  bodies.push_back(
+      encode_msg(TokenHoldCancelMsg{ProcessId{3}, RingId{12, ProcessId{1}}}));
 
   return bodies;
 }
@@ -200,6 +202,18 @@ TEST(CodecCorruptionTest, ProtocolInvariantsEnforcedByTryDecode) {
     BeaconMsg b;  // zero sender
     b.ring = RingId{1, ProcessId{1}};
     auto buf = encode_msg(b);
+    EXPECT_FALSE(try_decode(buf).has_value());
+  }
+  {
+    TokenHoldCancelMsg c;  // zero sender
+    c.ring = RingId{1, ProcessId{1}};
+    auto buf = encode_msg(c);
+    EXPECT_FALSE(try_decode(buf).has_value());
+  }
+  {
+    TokenHoldCancelMsg c;  // invalid ring id
+    c.sender = ProcessId{2};
+    auto buf = encode_msg(c);
     EXPECT_FALSE(try_decode(buf).has_value());
   }
 }

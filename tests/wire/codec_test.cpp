@@ -226,6 +226,12 @@ TEST(CodecTest, RecoveryAckAndBeaconAndFormRing) {
   EXPECT_EQ(db.sender, b.sender);
   EXPECT_EQ(db.ring, b.ring);
 
+  TokenHoldCancelMsg c{ProcessId{3}, RingId{12, ProcessId{1}}};
+  auto cbuf = encode_msg(c);
+  auto dc = decode_token_hold_cancel(std::span(cbuf));
+  EXPECT_EQ(dc.sender, c.sender);
+  EXPECT_EQ(dc.ring, c.ring);
+
   FormRingMsg f{ProcessId{1}, RingId{20, ProcessId{1}}, {ProcessId{1}, ProcessId{2}}};
   auto fbuf = encode_msg(f);
   auto df = decode_form_ring(std::span(fbuf));

@@ -97,10 +97,12 @@ TEST(PeekTypeTest, EveryMsgTypeRoundTrips) {
 
   expect_round_trip(BeaconMsg{ProcessId{4}, RingId{12, ProcessId{4}}},
                     MsgType::Beacon);
+  expect_round_trip(TokenHoldCancelMsg{ProcessId{3}, RingId{12, ProcessId{1}}},
+                    MsgType::TokenHoldCancel);
 
-  // Exhaustiveness: the eight cases above are the whole enum. If a ninth
+  // Exhaustiveness: the nine cases above are the whole enum. If a tenth
   // kind is added, kMsgTypeMax moves and this count fails loudly.
-  EXPECT_EQ(kMsgTypeMax - kMsgTypeMin + 1, 8);
+  EXPECT_EQ(kMsgTypeMax - kMsgTypeMin + 1, 9);
 }
 
 TEST(PeekTypeTest, TypeByteRangeIsDerivedFromEnum) {
@@ -110,7 +112,7 @@ TEST(PeekTypeTest, TypeByteRangeIsDerivedFromEnum) {
       below{static_cast<std::uint8_t>(kMsgTypeMin - 1)},
       above{static_cast<std::uint8_t>(kMsgTypeMax + 1)}, junk{0xFF};
   EXPECT_EQ(peek_type(std::span(lo)), MsgType::Regular);
-  EXPECT_EQ(peek_type(std::span(hi)), MsgType::Beacon);
+  EXPECT_EQ(peek_type(std::span(hi)), MsgType::TokenHoldCancel);
   EXPECT_EQ(peek_type(std::span(below)), std::nullopt);
   EXPECT_EQ(peek_type(std::span(above)), std::nullopt);
   EXPECT_EQ(peek_type(std::span(junk)), std::nullopt);

@@ -25,7 +25,7 @@ bool LockService::acquire(LockId lock) {
   w.u32(lock);
   // Safe delivery: a grant decision must never be visible at one member and
   // lost at another across a configuration change.
-  if (!node_.send(w.take(), Service::Safe).ok()) {
+  if (!node_.send(w.take()).ok()) {
     ++stats_.rejected_blocked;
     return false;
   }
@@ -37,7 +37,7 @@ bool LockService::release(LockId lock) {
   wire::Writer w;
   w.u8(kRelease);
   w.u32(lock);
-  return node_.send(w.take(), Service::Safe).ok();
+  return node_.send(w.take()).ok();
 }
 
 std::optional<ProcessId> LockService::holder(LockId lock) const {
@@ -156,7 +156,7 @@ void LockService::on_view(const VsView& view) {
     }
     // The filter accepts sends during its own view callback (the node is
     // in the primary by construction here).
-    (void)node_.send(w.take(), Service::Safe);
+    (void)node_.send(w.take());
     ++stats_.snapshots_sent;
     synced_ = true;
   } else {
